@@ -409,59 +409,6 @@ fn stream_answers<T: Tracer>(
 // Yannakakis strategy entry points
 // ---------------------------------------------------------------------------
 
-/// Boolean evaluation under the Yannakakis preparation: the two semijoin
-/// passes over `tree` make every domain globally consistent before the
-/// (sequential — Boolean search exits on first success anyway) product
-/// search runs over them.
-pub fn eval_yannakakis_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-) -> (bool, ProductStats) {
-    let tables =
-        SharedTables::build_traced_with(db, query, Layout::Flat, None, &NoopTracer, Some(tree));
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    let found = e.boolean();
-    (found, e.stats)
-}
-
-/// Resource-governed [`eval_yannakakis_with_stats`]: preparation and
-/// search check in with one governor, and a budget tripped mid-pass keeps
-/// the domains sound (over-approximate), so `true` is always definitive.
-pub fn eval_yannakakis_governed(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-) -> Outcome<bool> {
-    let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_traced_with(
-        db,
-        query,
-        Layout::Flat,
-        Some(&governor),
-        &NoopTracer,
-        Some(tree),
-    );
-    let mut e = Evaluator::with_tables(db, query, &tables);
-    e.set_governor(&governor);
-    let found = e.boolean();
-    e.flush_budget();
-    let mut stats = e.stats;
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: found,
-        stats,
-        termination,
-        metrics: None,
-    }
-}
-
 /// Answer enumeration under the Yannakakis strategy: semijoin program
 /// over the join tree, then streaming enumeration over the globally
 /// consistent domains. Parallel runs use a static first-variable
@@ -473,11 +420,14 @@ pub fn answers_yannakakis_with_stats(
     tree: &JoinTree,
     opts: &EvalOptions,
 ) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_yannakakis_inner(db, query, tree, opts, None, &NoopTracer)
+    let tables = PreparedTables::build_for_tree(db, query, tree);
+    let workers = product_workers(db, query, opts);
+    stream_answers(db, query, &tables.tables, None, workers, &NoopTracer)
 }
 
-/// Resource-governed [`answers_yannakakis_with_stats`] with tracing. The
-/// returned set is a subset of the ungoverned answers, bit-identical when
+/// Resource-governed [`answers_yannakakis_with_stats`] with tracing: one
+/// governor spans the semijoin program and the enumeration. The returned
+/// set is a subset of the ungoverned answers, bit-identical when
 /// [`Outcome::termination`] is [`Termination::Complete`]; `max_answers`
 /// stops the streaming enumeration exactly at the cap.
 pub fn answers_yannakakis_governed_traced<T: Tracer>(
@@ -488,31 +438,9 @@ pub fn answers_yannakakis_governed_traced<T: Tracer>(
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = Governor::new(&opts.budget);
-    let (answers, mut stats) =
-        answers_yannakakis_inner(db, query, tree, opts, Some(&governor), tracer);
-    stats.budget_checks = governor.checkpoints_run();
-    Outcome {
-        answers,
-        stats,
-        termination: governor.termination(),
-        metrics: None,
-    }
-}
-
-/// Shared Yannakakis enumeration body: build the tables with the
-/// tree-driven semijoin program, then stream.
-fn answers_yannakakis_inner<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-    governor: Option<&Governor>,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
     let tables =
-        SharedTables::build_traced_with(db, query, Layout::Flat, governor, tracer, Some(tree));
-    let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables, governor, workers, tracer)
+        PreparedTables::build_with(db, query, Layout::Flat, Some(tree), Some(&governor), tracer);
+    answers_yannakakis_over(db, query, &tables, opts, &governor, tracer)
 }
 
 // ---------------------------------------------------------------------------
@@ -529,12 +457,13 @@ fn answers_yannakakis_inner<T: Tracer>(
 /// parallel search region (Amdahl).
 ///
 /// The tables are plain owned data (`Send + Sync`), safe to share across
-/// threads and across executions. They are **always built ungoverned**: a
-/// governor tripping mid-build truncates closure rows and semijoin
-/// domains — sound for the single run that observes the non-complete
-/// [`Termination`], but silently lossy if ever reused. Per-execution
-/// budgets are enforced by the governed prepared entry points, which
-/// construct a fresh `Governor` on every call.
+/// threads and across executions. [`PreparedTables::build`] and
+/// [`PreparedTables::build_for_tree`] build them ungoverned. A cached
+/// plan builds them under the governor of the run that first needs them
+/// and keeps them only when that governor had not tripped by the end of
+/// the build: a budget tripping mid-build truncates closure rows and
+/// semijoin domains — sound for the single run that observes the
+/// non-complete [`Termination`], but silently lossy if ever reused.
 pub struct PreparedTables {
     tables: SharedTables,
     layout: Layout,
@@ -547,26 +476,30 @@ impl PreparedTables {
     /// freezes the database's CSR index, so no later execution pays for
     /// it.
     pub fn build(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
-        PreparedTables {
-            tables: SharedTables::build_with_layout(db, query, layout),
-            layout,
-        }
+        Self::build_with(db, query, layout, None, None, &NoopTracer)
     }
 
     /// Builds tables whose domains are made globally consistent by the
     /// two-pass Yannakakis semijoin program over `tree` (always the flat
     /// layout, matching the planner's Yannakakis dispatch).
     pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
+        Self::build_with(db, query, Layout::Flat, Some(tree), None, &NoopTracer)
+    }
+
+    /// The general build: `tree` selects the Yannakakis semijoin program,
+    /// and the closure rows and semijoin sweeps check in with `governor`
+    /// and report to `tracer`.
+    pub(crate) fn build_with<T: Tracer>(
+        db: &GraphDb,
+        query: &PreparedQuery,
+        layout: Layout,
+        tree: Option<&JoinTree>,
+        governor: Option<&Governor>,
+        tracer: &T,
+    ) -> Self {
         PreparedTables {
-            tables: SharedTables::build_traced_with(
-                db,
-                query,
-                Layout::Flat,
-                None,
-                &NoopTracer,
-                Some(tree),
-            ),
-            layout: Layout::Flat,
+            tables: SharedTables::build_traced_with(db, query, layout, governor, tracer, tree),
+            layout,
         }
     }
 
@@ -589,25 +522,27 @@ pub fn answers_product_prepared(
     tables: &PreparedTables,
     opts: &EvalOptions,
 ) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_product_prepared_traced(db, query, tables, opts, &NoopTracer)
-}
-
-/// As [`answers_product_prepared`], reporting per-phase counters to
-/// `tracer` (worker blocks forked in spawn order).
-pub fn answers_product_prepared_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
     let workers = product_workers(db, query, opts);
     if let Some(cap) = opts.budget.max_answers {
         let budget = ResourceBudget::unlimited().with_max_answers(cap);
         let governor = Governor::new(&budget);
-        return stream_answers(db, query, &tables.tables, Some(&governor), workers, tracer);
+        return stream_answers(
+            db,
+            query,
+            &tables.tables,
+            Some(&governor),
+            workers,
+            &NoopTracer,
+        );
     }
-    materialized_answers_over(db, query, &tables.tables, tables.layout, workers, tracer)
+    materialized_answers_over(
+        db,
+        query,
+        &tables.tables,
+        tables.layout,
+        workers,
+        &NoopTracer,
+    )
 }
 
 /// Resource-governed answer enumeration over pre-built tables, for the
@@ -616,8 +551,8 @@ pub fn answers_product_prepared_traced<T: Tracer>(
 /// stop flag or termination survives into the next execution, so a cached
 /// plan whose previous run tripped its budget starts the next run clean.
 /// Unlike [`answers_product_governed`], the table build is not governed
-/// (it already happened, ungoverned, in [`PreparedTables::build`]); the
-/// budget covers the search region only.
+/// (it already happened in [`PreparedTables::build`]); the budget covers
+/// the search region only.
 pub fn answers_product_governed_prepared_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -625,15 +560,12 @@ pub fn answers_product_governed_prepared_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
-    let workers = product_workers(db, query, opts);
-    governed_answers_over(
+    answers_product_over(
         db,
         query,
-        &tables.tables,
-        tables.layout,
-        workers,
-        &governor,
+        tables,
+        opts,
+        &Governor::new(&opts.budget),
         tracer,
     )
 }
@@ -651,10 +583,29 @@ pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
+    answers_yannakakis_over(
+        db,
+        query,
+        tables,
+        opts,
+        &Governor::new(&opts.budget),
+        tracer,
+    )
+}
+
+/// [`answers_yannakakis_governed_prepared_traced`] under a governor the
+/// caller owns, so one budget can span a table build and the search.
+pub(crate) fn answers_yannakakis_over<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &PreparedTables,
+    opts: &EvalOptions,
+    governor: &Governor,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let workers = product_workers(db, query, opts);
     let (answers, mut stats) =
-        stream_answers(db, query, &tables.tables, Some(&governor), workers, tracer);
+        stream_answers(db, query, &tables.tables, Some(governor), workers, tracer);
     stats.budget_checks = governor.checkpoints_run();
     Outcome {
         answers,
@@ -914,25 +865,27 @@ pub fn answers_product_governed_traced<T: Tracer>(
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
     let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_traced(db, query, opts.layout, Some(&governor), tracer);
-    let workers = product_workers(db, query, opts);
-    governed_answers_over(db, query, &tables, opts.layout, workers, &governor, tracer)
+    let tables = PreparedTables::build_with(db, query, opts.layout, None, Some(&governor), tracer);
+    answers_product_over(db, query, &tables, opts, &governor, tracer)
 }
 
 /// The parallel region of the governed product enumeration over tables
-/// that already exist. The governor is *borrowed*, never stored: callers
-/// construct a fresh one per execution (its deadline `Instant` and stop
-/// flag are single-run state), which is what lets prepared-plan caches
-/// reuse the tables underneath without inheriting a tripped budget.
-fn governed_answers_over<T: Tracer>(
+/// that already exist, under a governor the caller owns, so one budget
+/// can span a table build and the search. The governor is *borrowed*,
+/// never stored: callers construct a fresh one per execution (its
+/// deadline `Instant` and stop flag are single-run state), which is what
+/// lets prepared-plan caches reuse the tables underneath without
+/// inheriting a tripped budget.
+pub(crate) fn answers_product_over<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
-    tables: &SharedTables,
-    layout: Layout,
-    workers: usize,
+    tables: &PreparedTables,
+    opts: &EvalOptions,
     governor: &Governor,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let workers = product_workers(db, query, opts);
+    let (tables, layout) = (&tables.tables, tables.layout);
     let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
     let mut stats = ProductStats::default();
     if workers <= 1 {

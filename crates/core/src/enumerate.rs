@@ -352,6 +352,12 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
                         }
                         let owned = tuple.to_vec();
                         self.seen.insert(owned.clone());
+                        if self.free.is_empty() {
+                            // the empty tuple is a Boolean query's only
+                            // answer: the answer set is already complete
+                            self.leaf = None;
+                            self.done = true;
+                        }
                         return Some(owned);
                     }
                 }

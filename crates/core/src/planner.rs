@@ -10,23 +10,27 @@
 //! (`≈ |V|^{2·cc_vertex}` tuples) and falls back to the direct product
 //! search when materialization would be larger than the configuration
 //! space the search visits.
+//!
+//! [`PreparedPlan::compile`] is the one compile pipeline and
+//! [`PreparedPlan::run`] the one strategy dispatch: [`plan`] describes a
+//! compiled plan, every evaluation entry point here is a compile + run
+//! wrapper, and the query service caches compiled plans.
 
-use crate::cq_eval::{answers_cq_treedec, eval_cq_treedec};
-use crate::engine::{self, EvalOptions};
-use crate::governor::{Outcome, ResourceBudget, Termination};
+use crate::engine::{self, EvalOptions, PreparedTables};
+use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
+use crate::optimize::{optimize, Simplified};
 use crate::prepare::PreparedQuery;
-use crate::product::{
-    answers_product_with_stats_layout, eval_product_with_stats, Layout, ProductStats,
-};
+use crate::product::{Layout, ProductStats};
 use crate::to_cq::ecrpq_to_cq;
 use crate::trace::{
     render_phase_table, CollectingTracer, Metrics, NoopTracer, Phase, PhaseSpan, Tracer,
 };
 use ecrpq_analyze::{analyze, minimize, render_diagnostic, Analysis, Code, JoinTree, Minimized};
 use ecrpq_graph::{GraphDb, NodeId};
-use ecrpq_query::{Ecrpq, QueryMeasures};
+use ecrpq_query::{Cq, Ecrpq, QueryError, QueryMeasures, RelationalDb};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Boundedness description of a class of 2L graphs (`None` = unbounded).
@@ -274,49 +278,36 @@ impl Plan {
     }
 }
 
-/// Builds a plan for evaluating `query` on `db`. The plan carries a full
-/// static [`Analysis`]; error-severity diagnostics make [`evaluate`] and
-/// [`answers`] return their empty result without entering the product
-/// search, and warnings surface in [`Plan::explain`].
+/// Builds a plan for evaluating `query` on `db`: the description of the
+/// [`PreparedPlan`] that [`PreparedPlan::compile`] produces, so every
+/// quantitative field describes the query evaluation runs. The plan
+/// carries a full static [`Analysis`]; error-severity diagnostics make
+/// [`evaluate`] and [`answers`] return their empty result without
+/// entering the product search, and warnings surface in [`Plan::explain`].
 pub fn plan(db: &GraphDb, query: &Ecrpq) -> Plan {
-    let analysis = analyze(query);
-    let minimized = (!analysis.has_errors())
-        .then(|| minimize(query))
-        .filter(|m| !m.steps.is_empty());
-    // Every quantitative field describes the query evaluation will run:
-    // the minimized one when the verified rewrite search improved it.
-    let effective = minimized.as_ref().map_or(query, |m| &m.query);
-    let measures = minimized.as_ref().map_or(analysis.measures, |m| m.after);
-    let bounds = ClassBounds {
-        cc_vertex: Some(measures.cc_vertex),
-        cc_hedge: Some(measures.cc_hedge),
-        treewidth: Some(measures.treewidth),
-    };
-    let (strategy, estimated_tuples, join_tree) = choose_strategy(db, effective, &measures);
+    // lint:allow(unwrap): compile fails only on a validation error, which the analyzer reports as an error diagnostic that short-circuits compilation first
+    let p = PreparedPlan::compile(db, query, &NoopTracer).expect("analyzed queries compile");
     Plan {
-        measures,
-        combined: combined_regime(&bounds),
-        param: param_regime(&bounds),
-        strategy,
-        estimated_tuples,
-        default_budget: regime_budget(budget_regime(&measures)),
-        analysis,
-        join_tree,
-        minimize: minimized,
+        measures: p.measures,
+        combined: combined_regime(&exact_bounds(&p.measures)),
+        param: p.param,
+        strategy: p.strategy,
+        estimated_tuples: p.estimated_tuples,
+        default_budget: p.default_budget,
+        analysis: p.analysis,
+        join_tree: p.join_tree,
+        minimize: p.minimize,
         source: query.source().map(str::to_owned),
     }
 }
 
-/// Runs the verified regime-minimization search under the
-/// [`Phase::Minimize`] span and returns the rewritten query when at
-/// least one step applied (`None` = evaluate the input as-is). The
-/// counter records the number of verified steps.
-fn minimized_query<T: Tracer>(query: &Ecrpq, tracer: &T) -> Option<Ecrpq> {
-    let span = PhaseSpan::start(tracer, Phase::Minimize);
-    let m = minimize(query);
-    tracer.count(Phase::Minimize, m.steps.len() as u64);
-    span.finish(tracer);
-    (!m.steps.is_empty()).then_some(m.query)
+/// The class description that bounds every measure by the query's own.
+fn exact_bounds(measures: &QueryMeasures) -> ClassBounds {
+    ClassBounds {
+        cc_vertex: Some(measures.cc_vertex),
+        cc_hedge: Some(measures.cc_hedge),
+        treewidth: Some(measures.treewidth),
+    }
 }
 
 /// Strategy selection: the CQ pipeline materializes ≈ `|V|^{2k}` tuples
@@ -324,7 +315,7 @@ fn minimized_query<T: Tracer>(query: &Ecrpq, tracer: &T) -> Option<Ecrpq> {
 /// pipeline). Over budget, structure decides: an α-acyclic CQ reduction
 /// with at least two merged atoms gets the Yannakakis semijoin program
 /// with streaming enumeration, everything else the direct product search.
-pub(crate) fn choose_strategy(
+fn choose_strategy(
     db: &GraphDb,
     query: &Ecrpq,
     measures: &QueryMeasures,
@@ -357,10 +348,265 @@ fn large_db_plan(query: &Ecrpq) -> (Strategy, Option<JoinTree>) {
     }
 }
 
+/// The slot index for a layout in the per-plan table cache.
+fn layout_slot(layout: Layout) -> usize {
+    match layout {
+        Layout::Legacy => 0,
+        Layout::FlatUnpruned => 1,
+        Layout::Flat => 2,
+        Layout::BitParallel => 3,
+    }
+}
+
+/// A compiled query: everything evaluation needs that depends on the
+/// query (and the database size) alone, produced by
+/// [`PreparedPlan::compile`] and executed by [`PreparedPlan::run`] — the
+/// one compile pipeline and the one strategy dispatch behind every
+/// planner entry point and the query service's plan cache.
+///
+/// Everything here is run-independent: the plan never holds a governor,
+/// a deadline `Instant` or a tracer, so a previous run's tripped stop flag
+/// or expired deadline cannot leak into the next. The lazily-built
+/// evaluation tables are cached only when the run that built them had not
+/// tripped its budget by the end of the build.
+pub struct PreparedPlan {
+    /// Structural measures of the (minimized, optimized) query evaluation
+    /// actually runs.
+    pub measures: QueryMeasures,
+    /// The budget regime of that query: Theorem 3.2's combined regime
+    /// with measures at or above the budget thresholds treated as
+    /// unbounded (see [`budget_regime`]). Selects
+    /// [`PreparedPlan::default_budget`].
+    pub combined: CombinedRegime,
+    /// Theorem 3.1 parameterized regime of that class.
+    pub param: ParamRegime,
+    /// The evaluation strategy chosen for this database size.
+    pub strategy: Strategy,
+    /// The per-regime default [`ResourceBudget`] — an inert limit
+    /// description ([`Copy`], no clock) that the governed entry points
+    /// install when a request's own budget is unlimited.
+    pub default_budget: ResourceBudget,
+    /// Static analysis of the query as written (pre-minimization).
+    pub analysis: Analysis,
+    /// The verified regime-minimization result, present exactly when at
+    /// least one rewrite step applied.
+    pub minimize: Option<Minimized>,
+    /// Estimated materialized tuples for the CQ pipeline.
+    estimated_tuples: f64,
+    /// The compiled automata-product form; `None` when the analyzer or
+    /// the optimizer proved the query unsatisfiable.
+    prepared: Option<PreparedQuery>,
+    /// The GYO join tree, present exactly when `strategy` is
+    /// [`Strategy::Yannakakis`].
+    join_tree: Option<JoinTree>,
+    /// Lazily-built evaluation tables, one slot per [`Layout`] (a
+    /// Yannakakis plan's tree-driven tables take the flat slot).
+    tables: [OnceLock<Arc<PreparedTables>>; 4],
+    /// Lazily-materialized Lemma 4.3 reduction for [`Strategy::CqTreedec`].
+    cq: OnceLock<Arc<(Cq, RelationalDb)>>,
+}
+
+impl PreparedPlan {
+    /// The compile pipeline: analyze → minimize (traced under
+    /// [`Phase::Minimize`], counting the verified steps) → optimize
+    /// ([`crate::optimize::optimize`]) → measures and regimes → strategy →
+    /// [`PreparedQuery::build`]. An analyzer error or a constant-false
+    /// rewrite yields a plan whose runs return the empty set without
+    /// touching the database ([`PreparedPlan::is_short_circuit`]).
+    pub fn compile<T: Tracer>(
+        db: &GraphDb,
+        query: &Ecrpq,
+        tracer: &T,
+    ) -> Result<PreparedPlan, QueryError> {
+        Self::compile_with(db, query, true, tracer)
+    }
+
+    /// [`PreparedPlan::compile`], with the minimizer skipped when
+    /// `run_minimizer` is false (the E21 baseline).
+    fn compile_with<T: Tracer>(
+        db: &GraphDb,
+        query: &Ecrpq,
+        run_minimizer: bool,
+        tracer: &T,
+    ) -> Result<PreparedPlan, QueryError> {
+        let analysis = analyze(query);
+        let satisfiable = !analysis.has_errors();
+        let minimized = (satisfiable && run_minimizer)
+            .then(|| {
+                let span = PhaseSpan::start(tracer, Phase::Minimize);
+                let m = minimize(query);
+                tracer.count(Phase::Minimize, m.steps.len() as u64);
+                span.finish(tracer);
+                m
+            })
+            .filter(|m| !m.steps.is_empty());
+        let effective = minimized.as_ref().map_or(query, |m| &m.query);
+        let optimized = match satisfiable.then(|| optimize(effective)).transpose()? {
+            Some(Simplified::Query(q)) => Some(q),
+            Some(Simplified::ConstFalse) | None => None,
+        };
+        let measures = match &optimized {
+            Some(q) => q.measures(),
+            None => minimized.as_ref().map_or(analysis.measures, |m| m.after),
+        };
+        let (strategy, estimated_tuples, join_tree) =
+            choose_strategy(db, optimized.as_ref().unwrap_or(effective), &measures);
+        let prepared = optimized.as_ref().map(PreparedQuery::build).transpose()?;
+        Ok(PreparedPlan {
+            measures,
+            combined: budget_regime(&measures),
+            param: param_regime(&exact_bounds(&measures)),
+            strategy,
+            default_budget: regime_budget(budget_regime(&measures)),
+            analysis,
+            minimize: minimized,
+            estimated_tuples,
+            prepared,
+            join_tree,
+            tables: [const { OnceLock::new() }; 4],
+            cq: OnceLock::new(),
+        })
+    }
+
+    /// Whether runs of this plan short-circuit to the empty answer set
+    /// (the analyzer or optimizer proved unsatisfiability).
+    pub fn is_short_circuit(&self) -> bool {
+        self.prepared.is_none()
+    }
+
+    /// The GYO join tree behind [`Strategy::Yannakakis`], if chosen.
+    pub fn join_tree(&self) -> Option<&JoinTree> {
+        self.join_tree.as_ref()
+    }
+
+    /// `opts` with [`PreparedPlan::default_budget`] installed when its
+    /// budget is unlimited: the options every governed entry point runs
+    /// under.
+    pub(crate) fn resolve_budget(&self, opts: &EvalOptions) -> EvalOptions {
+        if opts.budget.is_unlimited() {
+            opts.with_budget(self.default_budget)
+        } else {
+            *opts
+        }
+    }
+
+    /// Runs the plan's strategy under `opts.budget` as given, with a fresh
+    /// governor. Evaluation tables not cached yet are built under this
+    /// run's governor and `tracer`, and cached only when the governor had
+    /// not tripped by the end of the build; the run's
+    /// [`ProductStats::configurations`] then include the build work the
+    /// governor metered. The Lemma 4.3 materialization of
+    /// [`Strategy::CqTreedec`] is not governed, so it is always cached.
+    pub fn run<T: Tracer>(
+        &self,
+        db: &GraphDb,
+        opts: &EvalOptions,
+        tracer: &T,
+    ) -> Outcome<BTreeSet<Vec<NodeId>>> {
+        let Some(prepared) = &self.prepared else {
+            return no_answers();
+        };
+        let tree = match (self.strategy, &self.join_tree) {
+            (Strategy::CqTreedec, _) => {
+                let cq = self.cq.get_or_init(|| {
+                    let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
+                    Arc::new((cq, rdb))
+                });
+                return engine::answers_cq_treedec_governed_traced(&cq.1, &cq.0, opts, tracer);
+            }
+            (Strategy::Yannakakis, Some(tree)) => Some(tree),
+            (Strategy::DirectProduct | Strategy::Yannakakis, _) => None,
+        };
+        // the Yannakakis program always runs on the flat layout
+        let layout = if tree.is_some() {
+            Layout::Flat
+        } else {
+            opts.layout
+        };
+        let slot = &self.tables[layout_slot(layout)];
+        let governor = Governor::new(&opts.budget);
+        let mut build_work = 0;
+        let tables = slot.get().cloned().unwrap_or_else(|| {
+            let built = Arc::new(PreparedTables::build_with(
+                db,
+                prepared,
+                layout,
+                tree,
+                Some(&governor),
+                tracer,
+            ));
+            build_work = governor.work_charged();
+            if !governor.stopped() {
+                // a concurrent run may have cached its own complete build
+                // first; either serves
+                let _ = slot.set(Arc::clone(&built));
+            }
+            built
+        });
+        let mut outcome = match tree {
+            Some(_) => {
+                engine::answers_yannakakis_over(db, prepared, &tables, opts, &governor, tracer)
+            }
+            None => engine::answers_product_over(db, prepared, &tables, opts, &governor, tracer),
+        };
+        outcome.stats.configurations = outcome.stats.configurations.saturating_add(build_work);
+        outcome
+    }
+}
+
+/// The empty, complete outcome of a short-circuited query.
+fn no_answers() -> Outcome<BTreeSet<Vec<NodeId>>> {
+    Outcome {
+        answers: BTreeSet::new(),
+        stats: ProductStats::default(),
+        termination: Termination::Complete,
+        metrics: None,
+    }
+}
+
+/// Every planner entry point: compile `query` (a query the compiler
+/// rejects has no answers) and run it under the options `options`
+/// derives from the plan.
+fn compile_and_run<T: Tracer>(
+    db: &GraphDb,
+    query: &Ecrpq,
+    run_minimizer: bool,
+    tracer: &T,
+    options: impl FnOnce(&PreparedPlan) -> EvalOptions,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    match PreparedPlan::compile_with(db, query, run_minimizer, tracer) {
+        Ok(plan) => plan.run(db, &options(&plan), tracer),
+        Err(_) => no_answers(),
+    }
+}
+
+/// `opts` capped at one answer: Boolean evaluation stops at the first
+/// satisfying tuple.
+fn first_answer(opts: EvalOptions) -> EvalOptions {
+    opts.with_budget(opts.budget.with_max_answers(1))
+}
+
+/// A Boolean outcome from a one-answer run: any answer proves the query
+/// satisfiable, so a non-empty set is a definitive, complete `true`.
+fn boolean(outcome: Outcome<BTreeSet<Vec<NodeId>>>) -> Outcome<bool> {
+    let found = !outcome.answers.is_empty();
+    Outcome {
+        answers: found,
+        stats: outcome.stats,
+        termination: if found {
+            Termination::Complete
+        } else {
+            outcome.termination
+        },
+        metrics: outcome.metrics,
+    }
+}
+
 /// Evaluates a Boolean ECRPQ: analyzes the query (errors short-circuit to
 /// `false`), rewrites it ([`crate::optimize::optimize`]), and runs the
-/// chosen strategy. Invalid queries are caught by the analyzer (arity or
-/// track mismatches are error diagnostics) and evaluate to `false`.
+/// chosen strategy, unbudgeted, until the first answer. Invalid queries
+/// are caught by the analyzer (arity or track mismatches are error
+/// diagnostics) and evaluate to `false`.
 ///
 /// # Panics
 /// Panics if the query's alphabet disagrees with `db`.
@@ -368,36 +614,15 @@ pub fn evaluate(db: &GraphDb, query: &Ecrpq) -> bool {
     evaluate_with_stats(db, query).0
 }
 
-/// As [`evaluate`], also returning the product-search work counters. When
+/// As [`evaluate`], also returning the evaluator's work counters. When
 /// the analyzer proves the query unsatisfiable (or the rewrite reduces it
 /// to constant false) the counters are all zero: no product configuration
 /// is ever expanded.
 pub fn evaluate_with_stats(db: &GraphDb, query: &Ecrpq) -> (bool, ProductStats) {
-    if analyze(query).has_errors() {
-        return (false, ProductStats::default());
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => return (false, ProductStats::default()),
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &query.measures());
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            (eval_cq_treedec(&rdb, &cq), ProductStats::default())
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::eval_yannakakis_with_stats(db, &prepared, &tree)
-        }
-        Strategy::DirectProduct => eval_product_with_stats(db, &prepared),
-    }
+    let o = boolean(compile_and_run(db, query, true, &NoopTracer, |_| {
+        first_answer(EvalOptions::sequential())
+    }));
+    (o.answers, o.stats)
 }
 
 /// Evaluates a Boolean UECRPQ: true iff some disjunct holds (the paper's
@@ -425,20 +650,16 @@ pub fn answers_union(db: &GraphDb, query: &ecrpq_query::Uecrpq) -> BTreeSet<Vec<
 /// Computes all answers of an ECRPQ with free variables: analyzer errors
 /// short-circuit to the empty set, otherwise the
 /// [`crate::optimize::optimize`] rewrite runs and the chosen strategy
-/// enumerates.
+/// enumerates, unbudgeted.
 pub fn answers(db: &GraphDb, query: &Ecrpq) -> BTreeSet<Vec<NodeId>> {
     answers_with_stats(db, query).0
 }
 
-/// As [`answers`], also returning the product-search work counters (all
+/// As [`answers`], also returning the evaluator's work counters (all
 /// zero when the analyzer or rewrite short-circuits).
 pub fn answers_with_stats(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if analyze(query).has_errors() {
-        return (BTreeSet::new(), ProductStats::default());
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    answers_pipeline(db, query)
+    let o = compile_and_run(db, query, true, &NoopTracer, |_| EvalOptions::sequential());
+    (o.answers, o.stats)
 }
 
 /// [`answers`] with the regime-minimization step disabled: the baseline
@@ -447,95 +668,20 @@ pub fn answers_with_stats(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>
 /// equivalent both ways — but the regime, and therefore the cost, may
 /// differ dramatically.
 pub fn answers_without_minimize(db: &GraphDb, query: &Ecrpq) -> BTreeSet<Vec<NodeId>> {
-    if analyze(query).has_errors() {
-        return BTreeSet::new();
-    }
-    answers_pipeline(db, query).0
-}
-
-/// The shared post-minimization answer pipeline: rewrite, pick a
-/// strategy, enumerate.
-fn answers_pipeline(db: &GraphDb, query: &Ecrpq) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return (BTreeSet::new(), ProductStats::default())
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &query.measures());
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            (answers_cq_treedec(&rdb, &cq), ProductStats::default())
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::answers_yannakakis_with_stats(db, &prepared, &tree, &EvalOptions::sequential())
-        }
-        Strategy::DirectProduct => answers_product_with_stats_layout(db, &prepared, Layout::Flat),
-    }
-}
-
-/// The budget a governed run actually uses: the caller's, unless the
-/// caller's is unlimited, in which case the regime default for `measures`.
-fn resolve_budget(opts: &EvalOptions, measures: &QueryMeasures) -> EvalOptions {
-    if opts.budget.is_unlimited() {
-        opts.with_budget(regime_budget(budget_regime(measures)))
-    } else {
-        *opts
-    }
+    compile_and_run(db, query, false, &NoopTracer, |_| EvalOptions::sequential()).answers
 }
 
 /// Resource-governed [`evaluate`]: same pipeline (analyzer gate, rewrite,
 /// strategy selection), but the evaluation runs under
 /// [`EvalOptions::budget`] — or, when that is unlimited, under the
-/// regime-derived default of [`Plan::default_budget`]. A `true` answer is
-/// always definitive; `false` with a non-complete
-/// [`Outcome::termination`] means "not proven satisfiable within budget".
+/// regime-derived default of [`Plan::default_budget`] — capped at one
+/// answer. A `true` answer is always definitive; `false` with a
+/// non-complete [`Outcome::termination`] means "not proven satisfiable
+/// within budget".
 pub fn evaluate_governed(db: &GraphDb, query: &Ecrpq, opts: &EvalOptions) -> Outcome<bool> {
-    if analyze(query).has_errors() {
-        return Outcome {
-            answers: false,
-            stats: ProductStats::default(),
-            termination: Termination::Complete,
-            metrics: None,
-        };
-    }
-    let minimized = minimized_query(query, &NoopTracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return Outcome {
-                answers: false,
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: None,
-            }
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let measures = query.measures();
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &measures);
-    let opts = resolve_budget(opts, &measures);
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            engine::eval_cq_treedec_governed(&rdb, &cq, &opts)
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::eval_yannakakis_governed(db, &prepared, &tree, &opts)
-        }
-        Strategy::DirectProduct => engine::eval_product_governed(db, &prepared, &opts),
-    }
+    boolean(compile_and_run(db, query, true, &NoopTracer, |plan| {
+        first_answer(plan.resolve_budget(opts))
+    }))
 }
 
 /// Resource-governed [`answers`]: the returned set is a subset of the
@@ -560,47 +706,7 @@ pub fn answers_governed_with_tracer<T: Tracer>(
     opts: &EvalOptions,
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    if analyze(query).has_errors() {
-        return Outcome {
-            answers: BTreeSet::new(),
-            stats: ProductStats::default(),
-            termination: Termination::Complete,
-            metrics: None,
-        };
-    }
-    let minimized = minimized_query(query, tracer);
-    let query = minimized.as_ref().unwrap_or(query);
-    // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-    let query = match crate::optimize::optimize(query).expect("invalid query") {
-        crate::optimize::Simplified::ConstFalse => {
-            return Outcome {
-                answers: BTreeSet::new(),
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: None,
-            }
-        }
-        crate::optimize::Simplified::Query(q) => q,
-    };
-    let measures = query.measures();
-    let (strategy, _, join_tree) = choose_strategy(db, &query, &measures);
-    let opts = resolve_budget(opts, &measures);
-    // lint:allow(unwrap): the optimizer only emits valid queries
-    let prepared = PreparedQuery::build(&query).expect("invalid query");
-    match strategy {
-        Strategy::CqTreedec => {
-            let (cq, rdb, _) = ecrpq_to_cq(db, &prepared);
-            engine::answers_cq_treedec_governed_traced(&rdb, &cq, &opts, tracer)
-        }
-        Strategy::Yannakakis => {
-            // lint:allow(unwrap): Yannakakis is only chosen with a tree
-            let tree = join_tree.expect("join tree");
-            engine::answers_yannakakis_governed_traced(db, &prepared, &tree, &opts, tracer)
-        }
-        Strategy::DirectProduct => {
-            engine::answers_product_governed_traced(db, &prepared, &opts, tracer)
-        }
-    }
+    compile_and_run(db, query, true, tracer, |plan| plan.resolve_budget(opts))
 }
 
 /// [`answers_governed`] with observability: runs the chosen strategy under
@@ -622,6 +728,7 @@ pub fn answers_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cq_eval::eval_cq_treedec;
     use ecrpq_automata::relations;
     use std::sync::Arc;
 

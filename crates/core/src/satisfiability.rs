@@ -24,6 +24,7 @@ use ecrpq_query::{Ecrpq, QueryError};
 /// # Errors
 /// Propagates validation errors from the query.
 pub fn satisfiable(query: &Ecrpq) -> Result<Option<GraphDb>, QueryError> {
+    // lint:allow(cold-path): a witness check over the merged automata, not an evaluation path
     let prepared = PreparedQuery::build(query)?;
     let mut witnesses = Vec::with_capacity(prepared.atoms.len());
     for atom in &prepared.atoms {

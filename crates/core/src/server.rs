@@ -13,24 +13,28 @@
 //!
 //! # What is and is not cacheable
 //!
-//! A cached entry carries only *run-independent* state: the compiled
-//! [`PreparedQuery`], the [`Analysis`] and complexity regimes, the
-//! minimized form's step count, the per-regime default [`ResourceBudget`]
-//! (an inert description of limits), and lazily-built [`PreparedTables`]
-//! per layout. It **never** carries a `Governor` or a deadline `Instant`:
-//! a governor captures `Instant::now() + deadline` at construction and
-//! latches a one-way stop flag when any limit trips, so caching one would
-//! hand every later execution an already-expired deadline or an
-//! already-tripped stop flag. The governed engine entry points construct a
-//! fresh governor inside every call — see
-//! [`crate::engine::answers_product_governed_prepared_traced`] — and the
-//! regression suite proves a second run on a cached plan starts clean.
+//! A cached entry is a [`PreparedPlan`] from [`PreparedPlan::compile`] —
+//! the same compile pipeline every planner entry point runs — and every
+//! execution is one [`PreparedPlan::run`]. The plan carries only
+//! *run-independent* state: the compiled [`crate::PreparedQuery`], the
+//! analysis and complexity regimes, the minimizer's result, the
+//! per-regime default [`ResourceBudget`] (an inert description of
+//! limits), and lazily-built evaluation tables per layout. It **never**
+//! carries a `Governor` or a deadline `Instant`: a governor captures
+//! `Instant::now() + deadline` at construction and latches a one-way stop
+//! flag when any limit trips, so caching one would hand every later
+//! execution an already-expired deadline or an already-tripped stop flag.
+//! Every run constructs a fresh governor, and the regression suite proves
+//! a second run on a cached plan starts clean.
 //!
-//! For the same reason the cached tables are built **ungoverned**: a
-//! budget tripping mid-build truncates closure rows and semijoin domains,
-//! which is sound for the single run that reports a non-complete
-//! [`Termination`] but silently lossy forever if the truncated tables were
-//! reused. Only the per-execution search region is governed.
+//! One rule governs the tables: the run that first needs them builds them
+//! under its own governor and tracer — so a cold plan's first run pays
+//! for its table build in its own budget and phase metrics — and the
+//! plan caches them only when that governor had not tripped by the end of
+//! the build. A budget tripping mid-build truncates closure rows and
+//! semijoin domains, which is sound for the single run that reports a
+//! non-complete [`Termination`] but silently lossy forever if the
+//! truncated tables were reused.
 //!
 //! # Admission control
 //!
@@ -43,21 +47,19 @@
 //! the governor actually metered, so enforcement is exact up to the
 //! governor's cooperative check interval.
 
-use crate::engine::{self, EvalOptions, PreparedTables};
-use crate::governor::{Outcome, ResourceBudget, Termination};
-use crate::planner::{self, ClassBounds, CombinedRegime, ParamRegime, Strategy};
-use crate::prepare::PreparedQuery;
+use crate::engine::EvalOptions;
+use crate::governor::{ResourceBudget, Termination};
 use crate::product::ProductStats;
-use crate::to_cq::ecrpq_to_cq;
-use crate::trace::{CollectingTracer, Metrics};
-use crate::{FnvHashMap, Layout};
-use ecrpq_analyze::{analyze, minimize, Analysis, JoinTree};
+use crate::trace::{CollectingTracer, Metrics, NoopTracer};
+use crate::FnvHashMap;
 use ecrpq_graph::{GraphDb, NodeId};
-use ecrpq_query::{QueryMeasures, QueryParseError, RelationRegistry};
+use ecrpq_query::{QueryParseError, RelationRegistry};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+pub use crate::planner::PreparedPlan;
 
 /// State budget for the canonical-rendering verification inside key
 /// normalization: the [`ecrpq_query::unparse()`] equivalence checks refuse
@@ -164,23 +166,24 @@ impl PlanCache {
         })
     }
 
-    /// Interns `plan` under its canonical key plus the raw-text alias
-    /// `trimmed`, returning the canonical plan (an earlier racer's plan
-    /// wins if one got there first) and evicting down to capacity.
-    fn intern(&mut self, trimmed: &str, plan: Arc<PreparedPlan>) -> Arc<PreparedPlan> {
+    /// Interns `plan` under its canonical key `key` plus the raw-text
+    /// alias `trimmed`, returning the canonical plan (an earlier racer's
+    /// plan wins if one got there first) and evicting down to capacity.
+    fn intern(&mut self, key: String, trimmed: &str, plan: Arc<PreparedPlan>) -> Arc<PreparedPlan> {
         self.tick += 1;
         let tick = self.tick;
-        let canonical = match self.map.get_mut(plan.key.as_str()) {
+        let alias = trimmed != key;
+        let canonical = match self.map.get_mut(key.as_str()) {
             Some((existing, stamp)) => {
                 *stamp = tick;
                 Arc::clone(existing)
             }
             None => {
-                self.map.insert(plan.key.clone(), (Arc::clone(&plan), tick));
+                self.map.insert(key, (Arc::clone(&plan), tick));
                 plan
             }
         };
-        if trimmed != canonical.key {
+        if alias {
             self.map
                 .insert(trimmed.to_string(), (Arc::clone(&canonical), tick));
         }
@@ -214,70 +217,6 @@ impl PlanCache {
             self.map.retain(|_, (plan, _)| Arc::as_ptr(plan) != victim);
             self.evictions += 1;
         }
-    }
-}
-
-/// The slot index for a layout in the per-plan table cache.
-fn layout_slot(layout: Layout) -> usize {
-    match layout {
-        Layout::Legacy => 0,
-        Layout::FlatUnpruned => 1,
-        Layout::Flat => 2,
-        Layout::BitParallel => 3,
-    }
-}
-
-/// A cached, fully analyzed and compiled query plan.
-///
-/// Everything here is run-independent (see the module docs for the
-/// cacheability argument); per-execution state — governors, deadlines,
-/// tracers — is constructed fresh inside [`QueryService::execute`].
-pub struct PreparedPlan {
-    /// The normalized cache key: the verified canonical rendering when
-    /// [`ecrpq_query::unparse()`] produced one, otherwise the trimmed
-    /// source text.
-    pub key: String,
-    /// Structural measures of the (minimized, optimized) query evaluation
-    /// actually runs.
-    pub measures: QueryMeasures,
-    /// The budget regime of the (minimized) query: Theorem 3.2's combined
-    /// regime with measures at or above the budget thresholds treated as
-    /// unbounded (see [`planner::budget_regime`]). Selects
-    /// [`PreparedPlan::default_budget`].
-    pub combined: CombinedRegime,
-    /// Theorem 3.1 parameterized regime of that class.
-    pub param: ParamRegime,
-    /// The evaluation strategy chosen for this database size.
-    pub strategy: Strategy,
-    /// The per-regime default [`ResourceBudget`] — an inert limit
-    /// description ([`Copy`], no clock), installed when a request's own
-    /// budget is unlimited.
-    pub default_budget: ResourceBudget,
-    /// Static analysis of the query as written (pre-minimization).
-    pub analysis: Analysis,
-    /// Number of verified minimizer rewrite steps that applied.
-    pub minimize_steps: usize,
-    /// The analyzer or optimizer proved the query unsatisfiable:
-    /// executions return the empty set without touching the database.
-    short_circuit: bool,
-    /// The compiled automata-product form (absent iff `short_circuit`).
-    prepared: Option<PreparedQuery>,
-    /// The GYO join tree, present exactly when `strategy` is
-    /// [`Strategy::Yannakakis`].
-    join_tree: Option<JoinTree>,
-    /// Lazily-built direct-product tables, one slot per [`Layout`].
-    product_tables: [OnceLock<Arc<PreparedTables>>; 4],
-    /// Lazily-built Yannakakis tables (flat layout, tree-driven domains).
-    yannakakis_tables: OnceLock<Arc<PreparedTables>>,
-    /// Lazily-materialized Lemma 4.3 reduction for [`Strategy::CqTreedec`].
-    cq: OnceLock<Arc<(ecrpq_query::Cq, ecrpq_query::RelationalDb)>>,
-}
-
-impl PreparedPlan {
-    /// Whether executions of this plan short-circuit to the empty answer
-    /// set (the analyzer or optimizer proved unsatisfiability).
-    pub fn is_short_circuit(&self) -> bool {
-        self.short_circuit
     }
 }
 
@@ -487,16 +426,19 @@ impl QueryService {
             return Ok((plan, true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(self.prepare_cold(trimmed)?);
+        let (key, plan) = self.prepare_cold(trimmed)?;
         // two racing misses both compile; the first to intern under the
         // canonical key wins and both requests share the winner
-        Ok((lock(&self.cache).intern(trimmed, plan), false))
+        Ok((
+            lock(&self.cache).intern(key, trimmed, Arc::new(plan)),
+            false,
+        ))
     }
 
-    /// The cold path: parse, analyze, minimize, optimize, pick a
-    /// strategy, compile. Runs once per distinct query text; everything
-    /// it produces is run-independent and cached.
-    fn prepare_cold(&self, trimmed: &str) -> Result<PreparedPlan, ServerError> {
+    /// The cold path: parse, check the alphabet, normalize the cache key,
+    /// then [`PreparedPlan::compile`]. Runs once per distinct query text;
+    /// everything it produces is run-independent and cached.
+    fn prepare_cold(&self, trimmed: &str) -> Result<(String, PreparedPlan), ServerError> {
         let mut alphabet = self.db.alphabet().clone();
         // lint:allow(cold-path): one parse per distinct query text, amortized by the cache
         let query = ecrpq_query::parse_query(trimmed, &mut alphabet, &self.registry)?;
@@ -509,80 +451,13 @@ impl QueryService {
         // lint:allow(cold-path): key normalization runs once per distinct text
         let key = ecrpq_query::unparse(&query, UNPARSE_STATE_BUDGET)
             .unwrap_or_else(|| trimmed.to_string());
-
-        let analysis = analyze(&query);
-        if analysis.has_errors() {
-            return Ok(Self::short_circuit_plan(key, analysis));
-        }
-        let minimized = minimize(&query);
-        let minimize_steps = minimized.steps.len();
-        let effective = if minimize_steps == 0 {
-            query
-        } else {
-            minimized.query
-        };
-        // lint:allow(unwrap): validation errors were caught by the analyzer gate above
-        let optimized = match crate::optimize::optimize(&effective).expect("invalid query") {
-            crate::optimize::Simplified::ConstFalse => {
-                let mut plan = Self::short_circuit_plan(key, analysis);
-                plan.minimize_steps = minimize_steps;
-                return Ok(plan);
-            }
-            crate::optimize::Simplified::Query(q) => q,
-        };
-        let measures = optimized.measures();
-        let bounds = ClassBounds {
-            cc_vertex: Some(measures.cc_vertex),
-            cc_hedge: Some(measures.cc_hedge),
-            treewidth: Some(measures.treewidth),
-        };
-        let (strategy, _estimated, join_tree) =
-            planner::choose_strategy(&self.db, &optimized, &measures);
-        // lint:allow(cold-path) lint:allow(unwrap): compiled once per distinct query; the optimizer only emits valid queries
-        let prepared = PreparedQuery::build(&optimized).expect("invalid query");
-        Ok(PreparedPlan {
-            key,
-            measures,
-            combined: planner::budget_regime(&measures),
-            param: planner::param_regime(&bounds),
-            strategy,
-            default_budget: planner::regime_budget(planner::budget_regime(&measures)),
-            analysis,
-            minimize_steps,
-            short_circuit: false,
-            prepared: Some(prepared),
-            join_tree,
-            product_tables: [const { OnceLock::new() }; 4],
-            yannakakis_tables: OnceLock::new(),
-            cq: OnceLock::new(),
-        })
-    }
-
-    /// A plan whose executions return the empty set without touching the
-    /// database (analyzer error or constant-false rewrite).
-    fn short_circuit_plan(key: String, analysis: Analysis) -> PreparedPlan {
-        let measures = analysis.measures;
-        let bounds = ClassBounds {
-            cc_vertex: Some(measures.cc_vertex),
-            cc_hedge: Some(measures.cc_hedge),
-            treewidth: Some(measures.treewidth),
-        };
-        PreparedPlan {
-            key,
-            measures,
-            combined: planner::budget_regime(&measures),
-            param: planner::param_regime(&bounds),
-            strategy: Strategy::DirectProduct,
-            default_budget: planner::regime_budget(planner::budget_regime(&measures)),
-            analysis,
-            minimize_steps: 0,
-            short_circuit: true,
-            prepared: None,
-            join_tree: None,
-            product_tables: [const { OnceLock::new() }; 4],
-            yannakakis_tables: OnceLock::new(),
-            cq: OnceLock::new(),
-        }
+        // lint:allow(cold-path): compiled once per distinct query text
+        let plan = PreparedPlan::compile(&self.db, &query, &NoopTracer).map_err(|e| {
+            ServerError::Rejected(QueryParseError {
+                message: e.to_string(),
+            })
+        })?;
+        Ok((key, plan))
     }
 
     /// Serves one request through the cache: lookup-or-prepare, then a
@@ -593,8 +468,7 @@ impl QueryService {
     pub fn execute(&self, text: &str, opts: &EvalOptions) -> Result<Response, ServerError> {
         let start = Instant::now();
         let (plan, cached) = self.prepare(text)?;
-        let outcome = Self::run_plan(&self.db, &plan, opts);
-        self.finish(start, outcome, cached, plan)
+        Ok(self.run(start, plan, cached, opts))
     }
 
     /// The cold baseline the E22 benchmark compares against: re-prepares
@@ -608,25 +482,27 @@ impl QueryService {
         opts: &EvalOptions,
     ) -> Result<Response, ServerError> {
         let start = Instant::now();
-        let plan = Arc::new(self.prepare_cold(text.trim())?);
-        let outcome = Self::run_plan(&self.db, &plan, opts);
-        self.finish(start, outcome, false, plan)
+        let (_, plan) = self.prepare_cold(text.trim())?;
+        Ok(self.run(start, Arc::new(plan), false, opts))
     }
 
-    /// Shared response assembly: latency, histogram, metrics fold.
-    fn finish(
+    /// Runs `plan` under a collecting tracer, then assembles the response:
+    /// latency, histogram, metrics fold.
+    fn run(
         &self,
         start: Instant,
-        outcome: Outcome<BTreeSet<Vec<NodeId>>>,
-        cached: bool,
         plan: Arc<PreparedPlan>,
-    ) -> Result<Response, ServerError> {
-        let metrics = outcome.metrics.unwrap_or_default();
+        cached: bool,
+        opts: &EvalOptions,
+    ) -> Response {
+        let tracer = CollectingTracer::new();
+        let outcome = plan.run(&self.db, &plan.resolve_budget(opts), &tracer);
+        let metrics = tracer.metrics();
         let latency = start.elapsed();
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.histogram.record(latency);
         lock(&self.metrics).merge(&metrics);
-        Ok(Response {
+        Response {
             answers: outcome.answers,
             stats: outcome.stats,
             termination: outcome.termination,
@@ -634,61 +510,7 @@ impl QueryService {
             cached,
             latency,
             plan,
-        })
-    }
-
-    /// Executes a prepared plan under `opts`. Every call constructs a
-    /// fresh governor inside the governed engine entry point it
-    /// dispatches to — the plan contributes only inert state (compiled
-    /// automata, tables, the default budget), so a previous run's tripped
-    /// stop flag or expired deadline cannot leak into this one.
-    fn run_plan(
-        db: &GraphDb,
-        plan: &PreparedPlan,
-        opts: &EvalOptions,
-    ) -> Outcome<BTreeSet<Vec<NodeId>>> {
-        let Some(prepared) = plan.prepared.as_ref() else {
-            return Outcome {
-                answers: BTreeSet::new(),
-                stats: ProductStats::default(),
-                termination: Termination::Complete,
-                metrics: Some(Metrics::default()),
-            };
-        };
-        let opts = if opts.budget.is_unlimited() {
-            opts.with_budget(plan.default_budget)
-        } else {
-            *opts
-        };
-        let tracer = CollectingTracer::new();
-        let mut outcome = match plan.strategy {
-            Strategy::CqTreedec => {
-                let cq = plan.cq.get_or_init(|| {
-                    let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
-                    Arc::new((cq, rdb))
-                });
-                engine::answers_cq_treedec_governed_traced(&cq.1, &cq.0, &opts, &tracer)
-            }
-            Strategy::Yannakakis => {
-                // lint:allow(unwrap): Yannakakis is only chosen with a tree
-                let tree = plan.join_tree.as_ref().expect("join tree");
-                let tables = plan
-                    .yannakakis_tables
-                    .get_or_init(|| Arc::new(PreparedTables::build_for_tree(db, prepared, tree)));
-                engine::answers_yannakakis_governed_prepared_traced(
-                    db, prepared, tables, &opts, &tracer,
-                )
-            }
-            Strategy::DirectProduct => {
-                let tables = plan.product_tables[layout_slot(opts.layout)]
-                    .get_or_init(|| Arc::new(PreparedTables::build(db, prepared, opts.layout)));
-                engine::answers_product_governed_prepared_traced(
-                    db, prepared, tables, &opts, &tracer,
-                )
-            }
-        };
-        outcome.metrics = Some(tracer.metrics());
-        outcome
+        }
     }
 
     /// Multiplexes a batch of requests over a scoped worker pool:

@@ -510,31 +510,61 @@ pub fn lint_unverified_rewrite(path: &str, content: &str) -> Vec<Violation> {
 /// query text.
 pub const SERVER_FILES: &[&str] = &["crates/core/src/server.rs"];
 
-/// Marker that exempts one audited compilation site from
-/// [`lint_cold_path`]. Put it on the offending line or the line just
-/// above, with a word on why the site runs once per distinct query (not
-/// once per request).
+/// The evaluation library whose compile pipeline [`lint_cold_path`]
+/// confines to one function.
+pub const CORE_SRC: &str = "crates/core/src";
+
+/// The one function allowed to run the query-side compile pipeline: the
+/// body of `PreparedPlan::compile` in [`COMPILE_SITE_FILE`].
+pub const COMPILE_SITE_FN: &str = "fn compile_with";
+
+/// The file holding [`COMPILE_SITE_FN`].
+pub const COMPILE_SITE_FILE: &str = "crates/core/src/planner.rs";
+
+/// Marker that exempts one audited site from [`lint_cold_path`]. Put it
+/// on the offending line or the line just above, with a word on why the
+/// site runs once per distinct query (a service parse) or is not an
+/// evaluation path (a compile outside [`COMPILE_SITE_FN`]).
 pub const ALLOW_COLD_PATH: &str = "lint:allow(cold-path)";
 
-/// Tokens that do query-compilation work: any parsing (including key
-/// normalization via `unparse`) and plan compilation. A request that hits
-/// the cache must touch none of these.
-const COLD_PATH_TOKENS: &[&str] = &["parse", "PreparedQuery::build"];
+/// Tokens that parse query text in the service (including key
+/// normalization via `unparse`) or compile a plan there. A request that
+/// hits the cache must touch none of these.
+const SERVER_TOKENS: &[&str] = &["parse", "PreparedPlan::compile"];
 
-/// Rule 10: in a [`SERVER_FILES`] module, every compilation-work site
-/// (see [`COLD_PATH_TOKENS`]) must be an audited cold-path site carrying
-/// [`ALLOW_COLD_PATH`] on the line or the line above — otherwise a cache
-/// hit would silently repeat the work the cache exists to amortize.
-/// Import lines (`use …` names `parse_query` legitimately),
+/// Calls into the compile pipeline's stages: minimization, optimization
+/// and automata compilation.
+const COMPILE_TOKENS: &[&str] = &["PreparedQuery::build", "optimize(", "minimize("];
+
+/// Whether `code` calls `token` as a free function or path: the token
+/// starts at an identifier boundary and is not a `fn` definition.
+fn calls(code: &str, token: &str) -> bool {
+    code.match_indices(token).any(|(at, _)| {
+        let before = &code[..at];
+        let boundary = !before
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_');
+        boundary && !before.trim_end().ends_with("fn")
+    })
+}
+
+/// Rule 10: one compile pipeline. In [`CORE_SRC`], every call into the
+/// compile stages (see [`COMPILE_TOKENS`]) must sit inside
+/// [`COMPILE_SITE_FN`] in [`COMPILE_SITE_FILE`], so a change to the
+/// pipeline has exactly one place to go. In a [`SERVER_FILES`] module,
+/// every parse or compile site (see [`SERVER_TOKENS`]) must be an audited
+/// cold-path site — otherwise a cache hit would silently repeat the work
+/// the cache exists to amortize. Either kind of site may carry
+/// [`ALLOW_COLD_PATH`] on the line or the line above. Import lines,
 /// `#[cfg(test)]` blocks and comment lines are skipped.
 pub fn lint_cold_path(path: &str, content: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let lines: Vec<&str> = content.lines().collect();
-    let mut i = 0usize;
+    let server = SERVER_FILES.contains(&path);
     let mut skip_depth: Option<i64> = None; // brace depth at cfg(test) entry
     let mut depth: i64 = 0;
-    while i < lines.len() {
-        let line = lines[i];
+    for (i, line) in lines.iter().enumerate() {
         let code = strip_comment(line);
         if skip_depth.is_none() && code.contains("#[cfg(test)]") {
             skip_depth = Some(depth);
@@ -546,21 +576,17 @@ pub fn lint_cold_path(path: &str, content: &str) -> Vec<Violation> {
             if depth <= d && closes > 0 {
                 skip_depth = None;
             }
-            i += 1;
             continue;
         }
         let trimmed = code.trim_start();
         if trimmed.starts_with("use ") || trimmed.starts_with("pub use ") {
-            i += 1;
             continue;
         }
-        for needle in COLD_PATH_TOKENS {
-            if !code.contains(needle) {
-                continue;
-            }
-            let allowed =
-                line.contains(ALLOW_COLD_PATH) || (i > 0 && lines[i - 1].contains(ALLOW_COLD_PATH));
-            if !allowed {
+        if line.contains(ALLOW_COLD_PATH) || (i > 0 && lines[i - 1].contains(ALLOW_COLD_PATH)) {
+            continue;
+        }
+        if server {
+            if let Some(needle) = SERVER_TOKENS.iter().find(|t| code.contains(**t)) {
                 out.push(Violation {
                     file: path.to_string(),
                     line: i + 1,
@@ -570,10 +596,30 @@ pub fn lint_cold_path(path: &str, content: &str) -> Vec<Violation> {
                          `// {ALLOW_COLD_PATH}: why this runs once per distinct query`"
                     ),
                 });
+                continue;
             }
-            break; // one violation per line is enough
         }
-        i += 1;
+        let Some(needle) = COMPILE_TOKENS.iter().find(|t| calls(code, t)) else {
+            continue;
+        };
+        // scan back to the enclosing `fn` line, as rule 9 does
+        let in_compile_site = path == COMPILE_SITE_FILE
+            && (0..=i)
+                .rev()
+                .map(|j| strip_comment(lines[j]))
+                .find(|c| c.contains("fn "))
+                .is_some_and(|c| c.contains(COMPILE_SITE_FN));
+        if !in_compile_site {
+            out.push(Violation {
+                file: path.to_string(),
+                line: i + 1,
+                message: format!(
+                    "`{needle}` outside `PreparedPlan::compile` — the compile pipeline has \
+                     one home; compile a `PreparedPlan` and run it, or audit a \
+                     non-evaluation site with `// {ALLOW_COLD_PATH}: why`"
+                ),
+            });
+        }
     }
     out
 }
@@ -1009,7 +1055,7 @@ fn apply() {
         let bad = "\
 fn handle(&self, text: &str) {
     let q = parse_query(text, &mut alphabet, &registry);
-    let p = PreparedQuery::build(&q);
+    let p = PreparedPlan::compile(&self.db, &q, &NoopTracer);
 }
 ";
         let v = lint_cold_path("crates/core/src/server.rs", bad);
@@ -1017,7 +1063,37 @@ fn handle(&self, text: &str) {
         assert_eq!(v[0].line, 2);
         assert!(v[0].message.contains("`parse`"));
         assert_eq!(v[1].line, 3);
-        assert!(v[1].message.contains("PreparedQuery::build"));
+        assert!(v[1].message.contains("PreparedPlan::compile"));
+        // the same text outside the service is not a parse site
+        assert!(lint_cold_path("crates/core/src/engine.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn cold_path_confines_compile_stages_to_the_compile_site() {
+        let pipeline = "\
+impl PreparedPlan {
+    fn compile_with(db: &GraphDb, query: &Ecrpq) -> Result<Self, QueryError> {
+        let m = minimize(query);
+        let o = optimize(&m.query)?;
+        let p = o.as_ref().map(PreparedQuery::build).transpose()?;
+    }
+}
+";
+        assert!(lint_cold_path(COMPILE_SITE_FILE, pipeline).is_empty());
+        // the same stages anywhere else are a second pipeline
+        let v = lint_cold_path("crates/core/src/server.rs", pipeline);
+        assert_eq!(v.len(), 3);
+        assert!(v[0].message.contains("`minimize(`"));
+        assert!(v[1].message.contains("`optimize(`"));
+        assert!(v[2].message.contains("`PreparedQuery::build`"));
+        let other_fn = "\
+pub fn answers(db: &GraphDb, query: &Ecrpq) -> Answers {
+    let p = crate::prepare::PreparedQuery::build(query)?;
+}
+";
+        let v = lint_cold_path(COMPILE_SITE_FILE, other_fn);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 2);
     }
 
     #[test]
@@ -1026,28 +1102,37 @@ fn handle(&self, text: &str) {
 fn prepare_cold(&self, text: &str) {
     // lint:allow(cold-path): one parse per distinct query text
     let q = parse_query(text, &mut alphabet, &registry);
-    // lint:allow(cold-path): compiled once, reused by every execution
+    // lint:allow(cold-path): a witness check, not an evaluation path
     let p = PreparedQuery::build(&q);
 }
 ";
-        assert!(lint_cold_path("f", audited).is_empty());
-        // import lines legitimately name parse_query; comments are prose
-        assert!(lint_cold_path("f", "use ecrpq_query::{parse_query, unparse};\n").is_empty());
-        assert!(lint_cold_path("f", "// the cache means no parse per request\n").is_empty());
+        assert!(lint_cold_path("crates/core/src/server.rs", audited).is_empty());
+        // definitions, longer identifiers, imports and comments are not calls
+        let not_calls = "\
+pub fn optimize(query: &Ecrpq) -> Simplified {}
+pub fn answers_without_minimize(db: &GraphDb) {}
+use ecrpq_analyze::{minimize, parse_query};
+// optimize(q) and minimize(q) run once, in compile
+";
+        assert!(lint_cold_path("crates/core/src/server.rs", not_calls).is_empty());
         let test_only = "\
 #[cfg(test)]
 mod tests {
     fn t() {
         let q = parse_query(text, &mut alphabet, &registry);
+        let p = PreparedQuery::build(&q).unwrap();
     }
 }
 ";
-        assert!(lint_cold_path("f", test_only).is_empty());
+        assert!(lint_cold_path("crates/core/src/server.rs", test_only).is_empty());
         // `unparse` carries the `parse` token: key normalization must be
         // audited too, and the marker on the same line also counts
         let same_line = "fn k(q: &Ecrpq) { unparse(q) } // lint:allow(cold-path): once per text\n";
-        assert!(lint_cold_path("f", same_line).is_empty());
-        let v = lint_cold_path("f", "fn k(q: &Ecrpq) -> String { unparse(q) }\n");
+        assert!(lint_cold_path("crates/core/src/server.rs", same_line).is_empty());
+        let v = lint_cold_path(
+            "crates/core/src/server.rs",
+            "fn k(q: &Ecrpq) -> String { unparse(q) }\n",
+        );
         assert_eq!(v.len(), 1);
     }
 

@@ -10,8 +10,8 @@ use lint::{
     lint_budget_checkpoints, lint_cold_path, lint_default_hasher, lint_forbid_unsafe,
     lint_harness_bypass, lint_materialize, lint_raw_clock, lint_scalar_probe, lint_tracked_target,
     lint_unverified_rewrite, lint_unwrap, Violation, BITPARALLEL_HOT_FILES, BUDGET_HOT_FILES,
-    CLOCK_HOT_FILES, ENUMERATOR_FILES, EXPERIMENT_BIN_FILES, HOT_PATH_FILES, OWN_CRATES,
-    REWRITE_FILES, SERVER_FILES,
+    CLOCK_HOT_FILES, CORE_SRC, ENUMERATOR_FILES, EXPERIMENT_BIN_FILES, HOT_PATH_FILES, OWN_CRATES,
+    REWRITE_FILES,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -174,12 +174,15 @@ fn run_lint() -> ExitCode {
         }
     }
 
-    // Rule 10: the query service must not parse or compile outside the
-    // audited cold path — a cache hit repeats none of that work.
-    for hot in SERVER_FILES {
-        let path = root.join(hot);
-        match std::fs::read_to_string(&path) {
-            Ok(content) => violations.extend(lint_cold_path(hot, &content)),
+    // Rule 10: one compile pipeline — the compile stages run only inside
+    // `PreparedPlan::compile`, and the query service parses or compiles
+    // only on its audited cold path.
+    let mut core_sources: Vec<PathBuf> = Vec::new();
+    collect_rs(&root.join(CORE_SRC), &mut core_sources);
+    for path in &core_sources {
+        let p = rel(&root, path);
+        match std::fs::read_to_string(path) {
+            Ok(content) => violations.extend(lint_cold_path(&p, &content)),
             Err(e) => {
                 eprintln!("xtask: cannot read {}: {e}", path.display());
                 return ExitCode::from(2);
@@ -208,7 +211,7 @@ fn run_lint() -> ExitCode {
         println!(
             "xtask lint: clean ({} entry points, {} hot files, {} budget-hot files, \
              {} clock-hot files, {} kernel files, {} enumerator files, {} rewrite files, \
-             {} server files, {} experiment-bin files, {} library files)",
+             {} core files, {} experiment-bin files, {} library files)",
             entries.len(),
             HOT_PATH_FILES.len(),
             BUDGET_HOT_FILES.len(),
@@ -216,7 +219,7 @@ fn run_lint() -> ExitCode {
             BITPARALLEL_HOT_FILES.len(),
             ENUMERATOR_FILES.len(),
             REWRITE_FILES.len(),
-            SERVER_FILES.len(),
+            core_sources.len(),
             EXPERIMENT_BIN_FILES.len(),
             lib_sources.len()
         );

@@ -7,12 +7,13 @@
 
 use ecrpq::eval::planner;
 use ecrpq::eval::{
-    EvalOptions, Layout, QueryService, ResourceBudget, ServerError, SessionBudget, Strategy,
+    EvalOptions, Layout, Phase, QueryService, ResourceBudget, ServerError, SessionBudget, Strategy,
 };
 use ecrpq::graph::GraphDb;
-use ecrpq::query::{parse_query, RelationRegistry};
-use ecrpq::workloads::random_db;
+use ecrpq::query::{parse_query, unparse, RelationRegistry};
+use ecrpq::workloads::{random_db, random_ecrpq, RandomQueryParams};
 use std::collections::BTreeSet;
+use std::path::Path;
 use std::time::Duration;
 
 /// The differential corpus: finite path languages keep every governed
@@ -162,6 +163,40 @@ fn tripped_governor_state_does_not_leak_into_cached_plan() {
         );
         assert_eq!(r.answers, expected, "round {round}");
     }
+
+    // the table-cache rule on a cold plan: the run that first needs the
+    // tables builds them under its own governor and tracer, and the plan
+    // keeps them only if that governor had not tripped by the end of the
+    // build
+    let cold = QueryService::new(db.clone());
+    let (plan, _) = cold.prepare(text).expect("triple prepares");
+    assert!(matches!(plan.strategy, Strategy::DirectProduct));
+    let r = cold.execute(text, &expired).expect("admitted");
+    assert!(
+        !r.termination.is_complete(),
+        "a zero deadline trips inside the table build"
+    );
+    let built = |r: &ecrpq::eval::Response| {
+        (
+            r.metrics.phase(Phase::Prepare).items,
+            r.metrics.phase(Phase::Semijoin).items,
+        )
+    };
+    // the truncated tables were not cached: the next run builds them
+    let r = cold
+        .execute(text, &EvalOptions::sequential())
+        .expect("admitted");
+    assert!(r.termination.is_complete(), "{:?}", r.termination);
+    assert_eq!(r.answers, expected);
+    let (prepare, semijoin) = built(&r);
+    assert!(prepare > 0 && semijoin > 0, "{prepare} {semijoin}");
+    // ...and, complete this time, caches them for every later run
+    let r = cold
+        .execute(text, &EvalOptions::sequential())
+        .expect("admitted");
+    assert!(r.termination.is_complete(), "{:?}", r.termination);
+    assert_eq!(r.answers, expected);
+    assert_eq!(built(&r), (0, 0), "cached tables are not rebuilt");
 }
 
 /// Concurrent sessions over one shared service: a work-capped session is
@@ -243,4 +278,66 @@ fn small_db_plans_report_strategy_and_regime() {
     let (plan, _) = service.prepare(CORPUS[3]).expect("triple prepares");
     assert!(matches!(plan.strategy, Strategy::DirectProduct));
     assert_eq!(format!("{:?}", plan.combined), "PspaceComplete");
+}
+
+/// The agreement corpus: every query line of `queries/*.ecrpq`, plus 200
+/// random queries that render to text.
+fn agreement_corpus() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("queries");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("queries/ is readable")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "ecrpq"))
+        .collect();
+    files.sort();
+    let mut texts: Vec<String> = Vec::new();
+    for file in files {
+        let content = std::fs::read_to_string(&file).expect("query file is readable");
+        texts.extend(
+            content
+                .lines()
+                .map(str::trim)
+                .filter(|l| !l.is_empty() && !l.starts_with('#'))
+                .map(str::to_string),
+        );
+    }
+    let random: Vec<String> = (0..5000)
+        .filter_map(|seed| unparse(&random_ecrpq(&RandomQueryParams::default(), seed), 64))
+        .take(200)
+        .collect();
+    assert_eq!(random.len(), 200, "too few random queries render to text");
+    texts.extend(random);
+    texts
+}
+
+/// `planner::plan` and the service describe the same compiled plan: the
+/// same measures, strategy, join tree and default budget for every query,
+/// on a graph below the tuple budget and on one far past it, where the
+/// corpus must reach both large-database strategies.
+#[test]
+fn plan_agrees_with_the_service_plan() {
+    let texts = agreement_corpus();
+    for (db, expected) in [
+        (random_db(60, 1.5, 2, 0xD1FF), vec!["CqTreedec"]),
+        (
+            random_db(10_000, 1.5, 2, 0xBEEF),
+            vec!["DirectProduct", "Yannakakis"],
+        ),
+    ] {
+        let service = QueryService::new(db.clone());
+        let mut strategies = BTreeSet::new();
+        for text in &texts {
+            let mut alphabet = db.alphabet().clone();
+            let q = parse_query(text, &mut alphabet, &RelationRegistry::new())
+                .expect("corpus query parses");
+            let plan = planner::plan(&db, &q);
+            let (served, _) = service.prepare(text).expect("service compiles");
+            assert_eq!(plan.measures, served.measures, "{text}");
+            assert_eq!(plan.strategy, served.strategy, "{text}");
+            assert_eq!(plan.join_tree.as_ref(), served.join_tree(), "{text}");
+            assert_eq!(plan.default_budget, served.default_budget, "{text}");
+            strategies.insert(format!("{:?}", plan.strategy));
+        }
+        assert_eq!(strategies, expected.into_iter().map(String::from).collect());
+    }
 }
