@@ -12,7 +12,9 @@ use ecrpq_bench::{fmt_duration, loglog_slope, time_median, Table};
 use ecrpq_core::cq_eval::{eval_cq, eval_cq_treedec};
 use ecrpq_core::crpq::eval_crpq;
 use ecrpq_core::product::eval_product_with_stats;
-use ecrpq_core::{ecrpq_to_cq, engine, eval_product, EvalOptions, PreparedQuery};
+use ecrpq_core::{
+    ecrpq_to_cq, engine, eval_product, EvalOptions, NoopTracer, Outcome, PreparedQuery,
+};
 use ecrpq_query::Ecrpq;
 use ecrpq_reductions::{
     cq_to_ecrpq, ine_to_ecrpq_big_component, intersection_nonempty, pie_to_ecrpq_chain, CollapseCq,
@@ -191,7 +193,7 @@ fn e19_bitparallel() {
 }
 
 fn e18_observability() {
-    use ecrpq_core::{CollectingTracer, NoopTracer};
+    use ecrpq_core::CollectingTracer;
     println!("## E18 — Observability: per-phase time split and tracer overhead");
     println!();
     println!("Part A runs one workload per complexity regime under the collecting");
@@ -218,19 +220,24 @@ fn e18_observability() {
     q.set_free(&all_vars);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let opts = EvalOptions::sequential();
-    let (base_answers, stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+    let Outcome {
+        answers: base_answers,
+        stats,
+        ..
+    } = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
     let configs = stats.configurations.max(1);
     let mut t = Table::new(&["tracer", "answers", "time", "ns/config", "overhead"]);
     let mut base_ns = 0.0f64;
     for mode in ["untraced", "noop", "collecting"] {
         let answers = match mode {
-            "untraced" => engine::answers_product_with_stats(&db, &prepared, &opts).0,
-            "noop" => {
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &NoopTracer).0
+            // one traced entry point: `untraced` is its `NoopTracer` run,
+            // kept as its own row so the table keeps its shape
+            "untraced" | "noop" => {
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers
             }
             _ => {
                 let tracer = CollectingTracer::new();
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &tracer).0
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer).answers
             }
         };
         assert_eq!(
@@ -238,13 +245,12 @@ fn e18_observability() {
             "tracer {mode} changed the answer set"
         );
         let d = time_median(5, || match mode {
-            "untraced" => engine::answers_product_with_stats(&db, &prepared, &opts).0,
-            "noop" => {
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &NoopTracer).0
+            "untraced" | "noop" => {
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers
             }
             _ => {
                 let tracer = CollectingTracer::new();
-                engine::answers_product_with_stats_traced(&db, &prepared, &opts, &tracer).0
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &tracer).answers
             }
         });
         let ns = d.as_nanos() as f64 / configs as f64;
@@ -260,8 +266,8 @@ fn e18_observability() {
         ]);
     }
     println!("{}", t.to_markdown());
-    println!("`untraced` and `noop` compile to the same machine code (the tracer");
-    println!("is a zero-sized type behind `const ENABLED: bool = false`), so any");
+    println!("`untraced` and `noop` make the same call (the tracer is a");
+    println!("zero-sized type behind `const ENABLED: bool = false`), so any");
     println!("difference between those rows is measurement noise. The collecting");
     println!("row bounds the cost of always-on production metrics.");
     println!();
@@ -287,7 +293,7 @@ fn e17_budget() {
     println!("meters the semijoin sweeps and the answer odometer, so the 100%");
     println!("row recovers every answer yet still trips just past the last one;");
     println!("the 200% row completes and is asserted bit-identical to the");
-    println!("ungoverned run.");
+    println!("unbudgeted run.");
     println!();
 }
 
@@ -358,9 +364,21 @@ fn e14_thread_scaling(threads: usize) {
         .collect();
     q.set_free(&all_vars);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let baseline = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let baseline = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    )
+    .answers;
     let base_time = time_median(3, || {
-        engine::answers_product(&db, &prepared, &EvalOptions::sequential())
+        engine::answers_product_governed_traced(
+            &db,
+            &prepared,
+            &EvalOptions::sequential(),
+            &NoopTracer,
+        )
+        .answers
     });
     let mut t = Table::new(&["threads", "answers", "time", "speedup", "configs/s"]);
     let mut counts: Vec<usize> = vec![1];
@@ -374,9 +392,12 @@ fn e14_thread_scaling(threads: usize) {
     }
     for &n in &counts {
         let opts = EvalOptions::with_threads(n);
-        let (answers, stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+        let Outcome { answers, stats, .. } =
+            engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert_eq!(answers, baseline, "parallel answers diverge at {n} threads");
-        let d = time_median(3, || engine::answers_product(&db, &prepared, &opts));
+        let d = time_median(3, || {
+            engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers
+        });
         t.row(&[
             n.to_string(),
             answers.len().to_string(),

@@ -15,8 +15,8 @@ use super::json::Json;
 use super::spec::{Spec, SpecValue, TrialParams};
 use crate::time_median;
 use ecrpq_core::{
-    answers_product_with_stats_layout, answers_traced, engine, planner, EvalOptions, Layout, Phase,
-    PreparedQuery, PreparedTables, QueryService, ResourceBudget, Strategy,
+    answers_product_with_stats_layout, answers_traced, engine, planner, EvalOptions, Layout,
+    NoopTracer, Phase, PreparedQuery, PreparedTables, QueryService, ResourceBudget, Strategy,
 };
 use ecrpq_query::Ecrpq;
 use ecrpq_workloads::registry;
@@ -119,13 +119,26 @@ fn trial_bitparallel(spec: &Spec, params: &TrialParams) -> Result<Json, String> 
     let tables = PreparedTables::build(&db, &prepared, layout);
     let prepare_ms = start.elapsed().as_secs_f64() * 1e3;
     let opts = EvalOptions::with_threads(threads).with_layout(layout);
-    let (answers, stats) = engine::answers_product_prepared(&db, &prepared, &tables, &opts);
+    let o = engine::answers_product_governed_prepared_traced(
+        &db,
+        &prepared,
+        &tables,
+        &opts,
+        &NoopTracer,
+    );
+    let (answers, stats) = (o.answers, o.stats);
     assert_eq!(
         answers, expected,
         "{layout_name} at {threads} threads diverged from the planted answers"
     );
     let d = time_median(spec.reps, || {
-        engine::answers_product_prepared(&db, &prepared, &tables, &opts)
+        engine::answers_product_governed_prepared_traced(
+            &db,
+            &prepared,
+            &tables,
+            &opts,
+            &NoopTracer,
+        )
     });
     let rate = stats.configurations as f64 / d.as_secs_f64().max(1e-9);
     Ok(Json::Obj(vec![
@@ -170,14 +183,17 @@ fn trial_yannakakis(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     let tree = plan.join_tree.as_ref().ok_or("plan carries no join tree")?;
     // lint:allow(unwrap): generated workload queries are well-formed by construction
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let (flat_answers, flat_stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
-    let (yan_answers, yan_stats) =
-        engine::answers_yannakakis_with_stats(&db, &prepared, tree, &opts);
+    let flat = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
+    let (flat_answers, flat_stats) = (flat.answers, flat.stats);
+    let yan = engine::answers_yannakakis_governed_traced(&db, &prepared, tree, &opts, &NoopTracer);
+    let (yan_answers, yan_stats) = (yan.answers, yan.stats);
     assert_eq!(flat_answers, expected, "flat product answers at k={k}");
     assert_eq!(yan_answers, expected, "yannakakis answers at k={k}");
-    let flat_d = time_median(spec.reps, || engine::answers_product(&db, &prepared, &opts));
+    let flat_d = time_median(spec.reps, || {
+        engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
+    });
     let yan_d = time_median(spec.reps, || {
-        engine::answers_yannakakis_with_stats(&db, &prepared, tree, &opts)
+        engine::answers_yannakakis_governed_traced(&db, &prepared, tree, &opts, &NoopTracer)
     });
     Ok(Json::Obj(vec![
         ("answers".into(), Json::int(k)),
@@ -508,7 +524,12 @@ fn trial_budget(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
     db.freeze();
     // lint:allow(unwrap): generated workload queries are well-formed by construction
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let unbudgeted = engine::answers_product_governed(&db, &prepared, &EvalOptions::sequential());
+    let unbudgeted = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    );
     assert!(unbudgeted.termination.is_complete());
     let full = unbudgeted.answers;
     let total_work = unbudgeted.stats.configurations.max(1);
@@ -536,7 +557,7 @@ fn trial_budget(spec: &Spec, params: &TrialParams) -> Result<Json, String> {
         )
     };
     let start = std::time::Instant::now();
-    let o = engine::answers_product_governed(&db, &prepared, &opts);
+    let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
     let d = start.elapsed();
     assert!(o.answers.is_subset(&full), "partial answers must be sound");
     if o.termination.is_complete() && cap > 0 {

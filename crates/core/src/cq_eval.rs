@@ -103,7 +103,9 @@ pub(crate) fn answers_cq_part<T: Tracer>(
             }
             false
         });
-        tripped // abandon the search once the budget trips
+        // abandon the search once the budget trips, or once a Boolean
+        // query has its one possible answer (the empty tuple)
+        tripped || (q.free.is_empty() && !out.is_empty())
     });
     span.finish(tracer);
     if odometer_work > 0 {

@@ -1,37 +1,43 @@
 //! Parallel evaluation engine.
 //!
-//! Multi-threaded front-ends for the two evaluator families:
+//! Multi-threaded front-ends for the evaluator families, every one of them
+//! run under a fresh governor built from [`EvalOptions::budget`] (an
+//! unlimited budget, the default, never stops a run):
 //!
-//! * the **product** evaluator ([`eval_product`], [`answers_product`]) —
-//!   the top-level backtracking search is partitioned by the domain of the
-//!   first node variable it assigns: the domain is cut into
-//!   `threads × 4` chunks, and `std::thread::scope` workers pull chunks
-//!   from an atomic queue. Each worker carries its own feasibility memo and
-//!   visited-stamp arrays (thread-local, so chunk-internal memo locality is
-//!   preserved) and borrows the read-only `SharedTables` — trimmed
-//!   automata, dense row-grouped transition tables, semijoin-pruned
-//!   enumeration domains, reachability closure — built once up front (the
-//!   build also freezes the database's CSR index, so no worker pays for
-//!   it);
-//! * the **CQ** evaluators ([`answers_cq`], [`answers_cq_treedec`]) — the
-//!   backtracking join is partitioned by stride over the first atom's
-//!   candidate tuples, and tree-decomposition bag population fans out
-//!   bag-per-worker before the (sequential) semijoin passes.
+//! * the **product** evaluator ([`eval_product_governed`],
+//!   [`answers_product_governed_traced`]) — the top-level backtracking
+//!   search is partitioned by the domain of the first node variable it
+//!   assigns: the domain is cut into `threads × 4` chunks, and
+//!   `std::thread::scope` workers pull chunks from an atomic queue. Each
+//!   worker carries its own feasibility memo and visited-stamp arrays
+//!   (thread-local, so chunk-internal memo locality is preserved) and
+//!   borrows the read-only [`PreparedTables`] — trimmed automata, dense
+//!   row-grouped transition tables, semijoin-pruned enumeration domains,
+//!   reachability closure — built once up front (the build also freezes
+//!   the database's CSR index, so no worker pays for it);
+//! * the **Yannakakis** evaluator ([`answers_yannakakis_governed_traced`])
+//!   — the same tables with globally consistent domains, drained by
+//!   streaming enumerators over a static first-variable partition;
+//! * the **CQ** evaluators ([`answers_cq_governed_traced`],
+//!   [`answers_cq_treedec_governed_traced`]) — the backtracking join is
+//!   partitioned by stride over the first atom's candidate tuples, and
+//!   tree-decomposition bag population fans out bag-per-worker before the
+//!   (sequential) semijoin passes.
 //!
 //! Workers merge their [`ProductStats`] with saturating adds at join, and
-//! answer sets are `BTreeSet`s merged by union — so parallel runs return
-//! **bit-identical** answers to the sequential evaluators, and the work
-//! invariant `checks + cache_hits = sequential checks + cache_hits` holds
-//! for enumeration (each (atom, endpoints) feasibility question is asked
-//! the same number of times in total; only the memo-hit split shifts with
-//! the partitioning). Boolean search additionally propagates a stop flag
-//! so sibling workers abandon their chunks after the first success.
+//! answer sets are `BTreeSet`s merged by union — so complete parallel runs
+//! return **bit-identical** answers to the sequential evaluators, and the
+//! work invariant `checks + cache_hits = sequential checks + cache_hits`
+//! holds for enumeration (each (atom, endpoints) feasibility question is
+//! asked the same number of times in total; only the memo-hit split shifts
+//! with the partitioning). Boolean search additionally propagates a stop
+//! flag so sibling workers abandon their chunks after the first success.
 
 use crate::cq_eval;
 use crate::enumerate::AnswerIter;
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
-use crate::product::{self, Evaluator, Layout, ProductStats, SharedTables};
+use crate::product::{Evaluator, Layout, ProductStats, SharedTables};
 use crate::trace::{NoopTracer, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_graph::{GraphDb, NodeId};
@@ -52,8 +58,8 @@ pub struct EvalOptions {
     /// [`std::thread::available_parallelism`]"; `1` runs the sequential
     /// evaluators unchanged.
     pub threads: usize,
-    /// Resource budget for the `*_governed` entry points (unlimited by
-    /// default). The ungoverned entry points ignore it.
+    /// Resource budget of the run (unlimited by default). Every entry
+    /// point honours it: each builds a fresh governor from it.
     pub budget: ResourceBudget,
     /// Product-evaluator data layout ([`Layout::Flat`] by default). The CQ
     /// entry points ignore it. [`Layout::BitParallel`] additionally
@@ -61,7 +67,6 @@ pub struct EvalOptions {
     /// boundaries line up with the kernel's 64-configuration bitmap words.
     pub layout: Layout,
 }
-
 impl EvalOptions {
     /// Explicitly sequential evaluation.
     pub fn sequential() -> Self {
@@ -171,614 +176,54 @@ fn product_workers(db: &GraphDb, query: &PreparedQuery, opts: &EvalOptions) -> u
     t.min(db.num_nodes())
 }
 
-/// Parallel Boolean product evaluation. Identical in outcome to
-/// [`crate::product::eval_product`]; with `threads > 1` the domain of the
-/// first assigned node variable is searched by concurrent workers, and the
-/// first success cancels the rest.
-pub fn eval_product(db: &GraphDb, query: &PreparedQuery, opts: &EvalOptions) -> bool {
-    eval_product_with_stats(db, query, opts).0
-}
-
-/// As [`eval_product`], returning the merged worker counters. Because the
-/// stop flag truncates sibling searches, Boolean counters are a lower
-/// bound on the sequential run's only when the query is satisfiable; for
-/// unsatisfiable queries every chunk is exhausted and
-/// `checks + cache_hits` matches the sequential total exactly.
-pub fn eval_product_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> (bool, ProductStats) {
-    let workers = product_workers(db, query, opts);
-    if workers <= 1 {
-        return product::eval_product_with_stats_layout(db, query, opts.layout);
-    }
-    let tables = SharedTables::build_with_layout(db, query, opts.layout);
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, opts.layout);
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let mut found = false;
-    let mut stats = ProductStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, stop, tables, ranges) = (&next, &stop, &tables, &ranges);
-                s.spawn(move || {
-                    let mut e = Evaluator::with_tables(db, query, tables);
-                    e.set_stop(stop);
-                    let mut hit = false;
-                    while !stop.load(Ordering::Relaxed) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = ranges.get(i) else { break };
-                        e.set_first_var_range(r.clone());
-                        if e.boolean() {
-                            hit = true;
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    (hit, e.stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (hit, s) = h.join().expect("product worker panicked");
-            found |= hit;
-            stats.merge(&s);
-        }
-    });
-    (found, stats)
-}
-
-/// Parallel answer enumeration for the product evaluator. Returns exactly
-/// the set [`crate::product::answers_product`] returns — workers enumerate
-/// disjoint slices of the first variable's domain and the per-worker
-/// `BTreeSet`s are merged by union.
-pub fn answers_product(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> BTreeSet<Vec<NodeId>> {
-    answers_product_with_stats(db, query, opts).0
-}
-
-/// As [`answers_product`], returning the merged worker counters.
-/// Enumeration never stops early, so the merged `checks + cache_hits`
-/// equals the sequential total, as does `assignments`.
-pub fn answers_product_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    answers_product_with_stats_traced(db, query, opts, &NoopTracer)
-}
-
-/// As [`answers_product_with_stats`], reporting per-phase counters and
-/// wall-times to `tracer`. Worker counter blocks are forked (registered)
-/// in spawn order, *before* the workers start, so a collecting tracer's
-/// fold is deterministic at one thread and lossless at any thread count.
-/// With [`crate::trace::NoopTracer`] this is exactly the untraced run.
-pub fn answers_product_with_stats_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if opts.budget.max_answers.is_some() {
-        // an answer cap on the otherwise-ungoverned entry points routes
-        // through the streaming enumerator, so enumeration terminates
-        // exactly at the cap instead of materializing everything first
-        return answers_product_capped(db, query, opts, tracer);
-    }
-    let workers = product_workers(db, query, opts);
-    let tables = SharedTables::build_traced(db, query, opts.layout, None, tracer);
-    materialized_answers_over(db, query, &tables, opts.layout, workers, tracer)
-}
-
-/// The parallel region of the materialized product enumeration, over
-/// tables that already exist: sequential [`Evaluator`] at one worker,
-/// chunk-stealing worker pool otherwise. Extracted so the serial
-/// `SharedTables` build (semijoin sweep, closure, dense tables) sits
-/// *outside* the region callers time or amortize — prepared-plan callers
-/// pay it once, not per run.
-fn materialized_answers_over<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    layout: Layout,
-    workers: usize,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if workers <= 1 {
-        let mut e = Evaluator::with_tables_traced(db, query, tables, tracer.fork_worker());
-        let answers = e.answers();
-        return (answers, e.stats);
-    }
-    let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
-    let next = AtomicUsize::new(0);
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut stats = ProductStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, ranges) = (&next, &ranges);
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
-                    let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(r) = ranges.get(i) else { break };
-                        e.set_first_var_range(r.clone());
-                        e.answers_into(&mut mine);
-                    }
-                    (mine, e.stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (mine, s) = h.join().expect("product worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-            stats.merge(&s);
-        }
-    });
-    (out, stats)
-}
-
-/// The `max_answers`-capped ungoverned product path: a governor carrying
-/// *only* the answer cap drives the streaming enumerator, so the search
-/// stops exactly when the cap-th distinct tuple has been claimed — no
-/// further configuration is explored. The other budget axes stay ignored,
-/// as documented on [`EvalOptions::budget`] for the ungoverned family.
-fn answers_product_capped<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let cap =
-        ResourceBudget::unlimited().with_max_answers(opts.budget.max_answers.unwrap_or(u64::MAX));
-    let governor = Governor::new(&cap);
-    let tables = SharedTables::build_traced(db, query, opts.layout, Some(&governor), tracer);
-    let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables, Some(&governor), workers, tracer)
-}
-
-/// Drains streaming [`AnswerIter`]s over pre-built tables: one full-range
-/// iterator sequentially, or one per worker over a *static* partition of
-/// the first assigned variable's range. Per-worker dedup is local (free
-/// tuples cycled by different workers' odometers can coincide), so the
-/// per-worker sets are merged by union; without a governor the union is
-/// bit-identical to the sequential materialized set.
-fn stream_answers<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &SharedTables,
-    governor: Option<&Governor>,
-    workers: usize,
-    tracer: &T,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        let mut it =
-            AnswerIter::with_parts(db, query, tables, governor, None, tracer.fork_worker());
-        it.drain_into(&mut out);
-        return (out, *it.stats());
-    }
-    let ranges = chunk_ranges(db.num_nodes(), workers);
-    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-    let mut stats = ProductStats::default();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let r = r.clone();
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut it =
-                        AnswerIter::with_parts(db, query, tables, governor, Some(r), worker_tracer);
-                    let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                    it.drain_into(&mut mine);
-                    (mine, *it.stats())
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let (mine, s) = h.join().expect("streaming worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-            stats.merge(&s);
-        }
-    });
-    (out, stats)
-}
-
-// ---------------------------------------------------------------------------
-// Yannakakis strategy entry points
-// ---------------------------------------------------------------------------
-
-/// Answer enumeration under the Yannakakis strategy: semijoin program
-/// over the join tree, then streaming enumeration over the globally
-/// consistent domains. Parallel runs use a static first-variable
-/// partition (one contiguous range per worker); the union of the
-/// per-worker streams is bit-identical to the sequential set.
-pub fn answers_yannakakis_with_stats(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let tables = PreparedTables::build_for_tree(db, query, tree);
-    let workers = product_workers(db, query, opts);
-    stream_answers(db, query, &tables.tables, None, workers, &NoopTracer)
-}
-
-/// Resource-governed [`answers_yannakakis_with_stats`] with tracing: one
-/// governor spans the semijoin program and the enumeration. The returned
-/// set is a subset of the ungoverned answers, bit-identical when
-/// [`Outcome::termination`] is [`Termination::Complete`]; `max_answers`
-/// stops the streaming enumeration exactly at the cap.
-pub fn answers_yannakakis_governed_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tree: &JoinTree,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let governor = Governor::new(&opts.budget);
-    let tables =
-        PreparedTables::build_with(db, query, Layout::Flat, Some(tree), Some(&governor), tracer);
-    answers_yannakakis_over(db, query, &tables, opts, &governor, tracer)
-}
-
-// ---------------------------------------------------------------------------
-// Prepared evaluation state (tables built once, executed many times)
-// ---------------------------------------------------------------------------
-
-/// Pre-built read-only evaluation state for the product-family entry
-/// points: the `SharedTables` — trimmed automata, reachability closure,
-/// dense row-grouped transition tables, semijoin-pruned enumeration
-/// domains — that every engine call otherwise rebuilds serially before
-/// its workers spawn. Building them once and executing many times is what
-/// a prepared-plan cache amortizes, and it is also what makes thread
-/// scaling visible end-to-end: the serial build no longer dilutes the
-/// parallel search region (Amdahl).
-///
-/// The tables are plain owned data (`Send + Sync`), safe to share across
-/// threads and across executions. [`PreparedTables::build`] and
-/// [`PreparedTables::build_for_tree`] build them ungoverned. A cached
-/// plan builds them under the governor of the run that first needs them
-/// and keeps them only when that governor had not tripped by the end of
-/// the build: a budget tripping mid-build truncates closure rows and
-/// semijoin domains — sound for the single run that observes the
-/// non-complete [`Termination`], but silently lossy if ever reused.
-pub struct PreparedTables {
-    tables: SharedTables,
-    layout: Layout,
-}
-
-impl PreparedTables {
-    /// Builds the shared evaluation tables for `query` over `db` under
-    /// `layout` (no join tree: the semijoin sweep prunes per-variable
-    /// domains pairwise, as the direct-product strategy does). Also
-    /// freezes the database's CSR index, so no later execution pays for
-    /// it.
-    pub fn build(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
-        Self::build_with(db, query, layout, None, None, &NoopTracer)
-    }
-
-    /// Builds tables whose domains are made globally consistent by the
-    /// two-pass Yannakakis semijoin program over `tree` (always the flat
-    /// layout, matching the planner's Yannakakis dispatch).
-    pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
-        Self::build_with(db, query, Layout::Flat, Some(tree), None, &NoopTracer)
-    }
-
-    /// The general build: `tree` selects the Yannakakis semijoin program,
-    /// and the closure rows and semijoin sweeps check in with `governor`
-    /// and report to `tracer`.
-    pub(crate) fn build_with<T: Tracer>(
-        db: &GraphDb,
-        query: &PreparedQuery,
-        layout: Layout,
-        tree: Option<&JoinTree>,
-        governor: Option<&Governor>,
-        tracer: &T,
-    ) -> Self {
-        PreparedTables {
-            tables: SharedTables::build_traced_with(db, query, layout, governor, tracer, tree),
-            layout,
-        }
-    }
-
-    /// The layout these tables were built for. Prepared executions use
-    /// it regardless of what [`EvalOptions::layout`] says — the dense
-    /// tables and domain bitmaps are layout-specific.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-}
-
-/// Answer enumeration over pre-built tables: exactly the parallel region
-/// of [`answers_product_with_stats`], returning the identical answer set
-/// (the tables fix the layout; `opts.layout` is ignored). `opts.budget`
-/// is ignored except for `max_answers`, which routes through the
-/// streaming enumerator as in the one-shot path.
-pub fn answers_product_prepared(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
-    let workers = product_workers(db, query, opts);
-    if let Some(cap) = opts.budget.max_answers {
-        let budget = ResourceBudget::unlimited().with_max_answers(cap);
-        let governor = Governor::new(&budget);
-        return stream_answers(
-            db,
-            query,
-            &tables.tables,
-            Some(&governor),
-            workers,
-            &NoopTracer,
-        );
-    }
-    materialized_answers_over(
-        db,
-        query,
-        &tables.tables,
-        tables.layout,
-        workers,
-        &NoopTracer,
-    )
-}
-
-/// Resource-governed answer enumeration over pre-built tables, for the
-/// direct-product strategy. A **fresh** `Governor` is constructed on
-/// every call — deadlines are measured from this call's entry, and no
-/// stop flag or termination survives into the next execution, so a cached
-/// plan whose previous run tripped its budget starts the next run clean.
-/// Unlike [`answers_product_governed`], the table build is not governed
-/// (it already happened in [`PreparedTables::build`]); the budget covers
-/// the search region only.
-pub fn answers_product_governed_prepared_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    answers_product_over(
-        db,
-        query,
-        tables,
-        opts,
-        &Governor::new(&opts.budget),
-        tracer,
-    )
-}
-
-/// Resource-governed streaming enumeration over tables prepared with
-/// [`PreparedTables::build_for_tree`]: the Yannakakis execution tail
-/// (static first-variable partition, per-worker streams merged by union)
-/// with a fresh per-call `Governor`, mirroring
-/// [`answers_yannakakis_governed_traced`] minus the semijoin program it
-/// already paid for at preparation time.
-pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    answers_yannakakis_over(
-        db,
-        query,
-        tables,
-        opts,
-        &Governor::new(&opts.budget),
-        tracer,
-    )
-}
-
-/// [`answers_yannakakis_governed_prepared_traced`] under a governor the
-/// caller owns, so one budget can span a table build and the search.
-pub(crate) fn answers_yannakakis_over<T: Tracer>(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    tables: &PreparedTables,
-    opts: &EvalOptions,
-    governor: &Governor,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    let workers = product_workers(db, query, opts);
-    let (answers, mut stats) =
-        stream_answers(db, query, &tables.tables, Some(governor), workers, tracer);
-    stats.budget_checks = governor.checkpoints_run();
+/// `answers` and `stats` as the outcome of the run `governor` metered:
+/// its termination and its check-in count.
+fn outcome<A>(answers: A, stats: ProductStats, governor: &Governor) -> Outcome<A> {
     Outcome {
         answers,
-        stats,
+        stats: ProductStats {
+            budget_checks: governor.checkpoints_run(),
+            ..stats
+        },
         termination: governor.termination(),
         metrics: None,
     }
 }
 
-/// How many workers a CQ backtracking run should use: bounded by the first
-/// atom's relation size (the stride partition is over its tuples).
-fn cq_workers(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> usize {
-    let t = opts.effective_threads();
-    if t <= 1 || q.atoms.is_empty() {
-        return 1;
+/// [`outcome`] of a Boolean run: `true` is definitive (a satisfying
+/// assignment was verified), so it is `Complete` whatever the governor
+/// says.
+fn boolean_outcome(found: bool, stats: ProductStats, governor: &Governor) -> Outcome<bool> {
+    let mut outcome = outcome(found, stats, governor);
+    if found {
+        outcome.termination = Termination::Complete;
     }
-    let max_rel = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation).map_or(0, |r| r.tuples.len()))
-        .max()
-        .unwrap_or(0);
-    t.min(max_rel.max(1))
+    outcome
 }
 
-/// Parallel Boolean CQ evaluation by stride-partitioned backtracking.
-pub fn eval_cq(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> bool {
-    let workers = cq_workers(db, q, opts);
-    if workers <= 1 {
-        return cq_eval::eval_cq(db, q);
-    }
-    let stop = AtomicBool::new(false);
-    let mut found = false;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|p| {
-                let stop = &stop;
-                s.spawn(move || {
-                    if stop.load(Ordering::Relaxed) {
-                        return false;
-                    }
-                    let hit = cq_eval::eval_cq_part(db, q, Some((workers, p)), None, &NoopTracer);
-                    if hit {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    hit
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            found |= h.join().expect("cq worker panicked");
-        }
-    });
-    found
-}
-
-/// Parallel CQ answer enumeration: workers cover disjoint stride classes
-/// of the first join atom's tuples; the merged set is identical to
-/// [`crate::cq_eval::answers_cq`].
-pub fn answers_cq(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> BTreeSet<Vec<u32>> {
-    answers_cq_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq`], reporting join/odometer counters to `tracer`
-/// (worker blocks forked in spawn order).
-pub fn answers_cq_traced<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let workers = cq_workers(db, q, opts);
-    if workers <= 1 {
-        let mut out = BTreeSet::new();
-        cq_eval::answers_cq_part(db, q, None, None, &tracer.fork_worker(), &mut out);
-        return out;
-    }
-    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|p| {
-                // fork before spawn: deterministic registration order
-                let worker_tracer = tracer.fork_worker();
-                s.spawn(move || {
-                    let mut mine = BTreeSet::new();
-                    cq_eval::answers_cq_part(
-                        db,
-                        q,
-                        Some((workers, p)),
-                        None,
-                        &worker_tracer,
-                        &mut mine,
-                    );
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(unwrap): propagate worker panics instead of losing them
-            let mine = h.join().expect("cq worker panicked");
-            if out.is_empty() {
-                out = mine;
-            } else {
-                out.extend(mine);
-            }
-        }
-    });
-    out
-}
-
-/// Parallel Boolean tree-decomposition evaluation: bag population fans out
-/// across workers; the semijoin passes stay sequential (they are linear in
-/// the already-reduced bag sizes).
-pub fn eval_cq_treedec(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> bool {
-    cq_eval::eval_cq_treedec_threads(db, q, opts.effective_threads(), None, &NoopTracer)
-}
-
-/// Parallel tree-decomposition answer enumeration: parallel bag
-/// population, sequential semijoins, then stride-parallel enumeration of
-/// the reduced acyclic join. Identical output to
-/// [`crate::cq_eval::answers_cq_treedec`].
-pub fn answers_cq_treedec(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> BTreeSet<Vec<u32>> {
-    answers_cq_treedec_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_treedec`], reporting bag-population work under
-/// [`crate::trace::Phase::TreedecBags`] and the final enumeration under
-/// [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
-pub fn answers_cq_treedec_traced<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> BTreeSet<Vec<u32>> {
-    let threads = opts.effective_threads();
-    match cq_eval::treedec_join_instance(db, q, threads, None, tracer) {
-        Some((jdb, jq)) => answers_cq_traced(&jdb, &jq, opts, tracer),
-        None => BTreeSet::new(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Resource-governed entry points
-// ---------------------------------------------------------------------------
-
-/// Stats for the CQ family under governance: the governor's work counter is
-/// the only cross-worker aggregate the CQ evaluators maintain, so it is
-/// surfaced through `configurations`.
-fn governed_cq_stats(governor: &Governor) -> ProductStats {
-    ProductStats {
-        configurations: governor.work_charged(),
-        budget_checks: governor.checkpoints_run(),
-        budget_aborts: u64::from(governor.stopped()),
-        ..ProductStats::default()
-    }
-}
-
-/// Resource-governed Boolean product evaluation.
+/// Resource-governed Boolean product evaluation. With `threads > 1` the
+/// domain of the first assigned node variable is searched by concurrent
+/// workers, and the first success cancels the rest.
 ///
-/// Identical to [`eval_product_with_stats`] while the budget in
-/// `opts.budget` holds; when a limit is hit the search stops cooperatively
-/// and the [`Outcome::termination`] field reports which resource ran out.
-/// A `true` answer is always definitive (a concrete satisfying assignment
-/// was verified); a `false` answer under a non-[`Termination::Complete`]
-/// termination only means "not proven satisfiable within budget".
+/// Identical in outcome to [`crate::product::eval_product`] while the
+/// budget in `opts.budget` holds; when a limit is hit the search stops
+/// cooperatively and the [`Outcome::termination`] field reports which
+/// resource ran out. A `true` answer is always definitive (a concrete
+/// satisfying assignment was verified); a `false` answer under a
+/// non-[`Termination::Complete`] termination only means "not proven
+/// satisfiable within budget". Because the stop flag truncates sibling
+/// searches, parallel counters are a lower bound on the sequential run's
+/// only when the query is satisfiable; for unsatisfiable queries every
+/// chunk is exhausted and `checks + cache_hits` matches the sequential
+/// total exactly.
 pub fn eval_product_governed(
     db: &GraphDb,
     query: &PreparedQuery,
     opts: &EvalOptions,
 ) -> Outcome<bool> {
     let governor = Governor::new(&opts.budget);
-    let tables = SharedTables::build_governed(db, query, opts.layout, Some(&governor));
+    let tables =
+        SharedTables::build_with(db, query, opts.layout, Some(&governor), &NoopTracer, None);
     let workers = product_workers(db, query, opts);
     let mut found = false;
     let mut stats = ProductStats::default();
@@ -825,39 +270,27 @@ pub fn eval_product_governed(
             }
         });
     }
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: found,
-        stats,
-        termination,
-        metrics: None,
-    }
+    boolean_outcome(found, stats, &governor)
 }
 
-/// Resource-governed answer enumeration for the product evaluator.
+/// Resource-governed answer enumeration for the product evaluator,
+/// reporting per-phase counters and wall-times to `tracer`. One governor
+/// spans the table build and the search.
 ///
-/// The returned set is always a **subset** of the ungoverned answer set
-/// (budget truncation can only lose answers, never invent them), and when
+/// The returned set is always a **subset** of the full answer set (budget
+/// truncation can only lose answers, never invent them), and when
 /// [`Outcome::termination`] is [`Termination::Complete`] it is
-/// bit-identical to [`answers_product`].
-pub fn answers_product_governed(
-    db: &GraphDb,
-    query: &PreparedQuery,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<NodeId>>> {
-    answers_product_governed_traced(db, query, opts, &NoopTracer)
-}
-
-/// As [`answers_product_governed`], reporting per-phase counters to
-/// `tracer` (worker blocks forked in spawn order, as in
-/// [`answers_product_with_stats_traced`]). The returned
-/// [`Outcome::metrics`] stays `None` — fold the collecting tracer you
-/// passed in (its `metrics()`) to read the phase split.
+/// bit-identical to [`crate::product::answers_product`]. Under an
+/// unlimited budget the merged `checks + cache_hits` and `assignments` of
+/// a query with free variables equal the sequential totals at every
+/// thread count; a Boolean query stops every worker once one has its
+/// answer (the empty tuple). Worker counter
+/// blocks are forked (registered) in spawn order, *before* the workers
+/// start, so a collecting tracer's fold is deterministic at one thread and
+/// lossless at any thread count; with [`NoopTracer`] the instrumentation
+/// compiles away. The returned [`Outcome::metrics`] stays `None` — fold
+/// the collecting tracer you passed in (its `metrics()`) to read the
+/// phase split.
 pub fn answers_product_governed_traced<T: Tracer>(
     db: &GraphDb,
     query: &PreparedQuery,
@@ -867,6 +300,32 @@ pub fn answers_product_governed_traced<T: Tracer>(
     let governor = Governor::new(&opts.budget);
     let tables = PreparedTables::build_with(db, query, opts.layout, None, Some(&governor), tracer);
     answers_product_over(db, query, &tables, opts, &governor, tracer)
+}
+
+/// Resource-governed answer enumeration over pre-built tables, for the
+/// direct-product strategy: exactly the parallel region of
+/// [`answers_product_governed_traced`] (the tables fix the layout;
+/// `opts.layout` is ignored). A **fresh** `Governor` is constructed on
+/// every call — deadlines are measured from this call's entry, and no
+/// stop flag or termination survives into the next execution, so a cached
+/// plan whose previous run tripped its budget starts the next run clean.
+/// The budget covers the search region only: the table build already
+/// happened in [`PreparedTables::build`].
+pub fn answers_product_governed_prepared_traced<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &PreparedTables,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    answers_product_over(
+        db,
+        query,
+        tables,
+        opts,
+        &Governor::new(&opts.budget),
+        tracer,
+    )
 }
 
 /// The parallel region of the governed product enumeration over tables
@@ -892,34 +351,35 @@ pub(crate) fn answers_product_over<T: Tracer>(
         // single full-range streaming iterator: same visit order, memo
         // and claim discipline as the materialized path, but a tripped
         // answer cap stops the search at the cap instead of after it
-        let mut it = AnswerIter::with_parts(
-            db,
-            query,
-            tables,
-            Some(governor),
-            None,
-            tracer.fork_worker(),
-        );
-        it.drain_into(&mut out);
-        stats = *it.stats();
+        (out, stats) = stream_answers(db, query, tables, governor, 1, tracer);
     } else {
         let ranges = product_chunk_ranges(db.num_nodes(), workers, layout);
         let next = AtomicUsize::new(0);
+        // a Boolean query is complete once any worker has its one answer
+        // (the empty tuple): that worker raises `found`, the others stop
+        let found = AtomicBool::new(false);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let (next, ranges) = (&next, &ranges);
+                    let (next, ranges, found) = (&next, &ranges, &found);
                     // fork before spawn: deterministic registration order
                     let worker_tracer = tracer.fork_worker();
                     s.spawn(move || {
                         let mut e = Evaluator::with_tables_traced(db, query, tables, worker_tracer);
                         e.set_governor(governor);
+                        let boolean = query.free.is_empty();
+                        if boolean {
+                            e.set_stop(found);
+                        }
                         let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
-                        while !governor.stopped() {
+                        while !governor.stopped() && !found.load(Ordering::Relaxed) {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(r) = ranges.get(i) else { break };
                             e.set_first_var_range(r.clone());
                             e.answers_into(&mut mine);
+                            if boolean && !mine.is_empty() {
+                                found.store(true, Ordering::Relaxed);
+                            }
                         }
                         e.flush_budget();
                         (mine, e.stats)
@@ -938,18 +398,254 @@ pub(crate) fn answers_product_over<T: Tracer>(
             }
         });
     }
-    stats.budget_checks = governor.checkpoints_run();
-    let termination = governor.termination();
-    Outcome {
-        answers: out,
-        stats,
-        termination,
-        metrics: None,
+    outcome(out, stats, governor)
+}
+
+// ---------------------------------------------------------------------------
+// Yannakakis strategy entry points
+// ---------------------------------------------------------------------------
+
+/// Answer enumeration under the Yannakakis strategy, with tracing:
+/// semijoin program over the join tree, then streaming enumeration over
+/// the globally consistent domains. One governor spans the semijoin
+/// program and the enumeration. Parallel runs use a static first-variable
+/// partition (one contiguous range per worker). The returned set is a
+/// subset of the full answer set, bit-identical to the sequential set
+/// when [`Outcome::termination`] is [`Termination::Complete`];
+/// `max_answers` stops the streaming enumeration exactly at the cap.
+pub fn answers_yannakakis_governed_traced<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tree: &JoinTree,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let governor = Governor::new(&opts.budget);
+    let tables =
+        PreparedTables::build_with(db, query, Layout::Flat, Some(tree), Some(&governor), tracer);
+    answers_yannakakis_over(db, query, &tables, opts, &governor, tracer)
+}
+
+/// Resource-governed streaming enumeration over tables prepared with
+/// [`PreparedTables::build_for_tree`]: the Yannakakis execution tail
+/// (static first-variable partition, per-worker streams merged by union)
+/// with a fresh per-call `Governor`, mirroring
+/// [`answers_yannakakis_governed_traced`] minus the semijoin program it
+/// already paid for at preparation time.
+pub fn answers_yannakakis_governed_prepared_traced<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &PreparedTables,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    answers_yannakakis_over(
+        db,
+        query,
+        tables,
+        opts,
+        &Governor::new(&opts.budget),
+        tracer,
+    )
+}
+
+/// [`answers_yannakakis_governed_prepared_traced`] under a governor the
+/// caller owns, so one budget can span a table build and the search.
+pub(crate) fn answers_yannakakis_over<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &PreparedTables,
+    opts: &EvalOptions,
+    governor: &Governor,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<NodeId>>> {
+    let workers = product_workers(db, query, opts);
+    let (answers, stats) = stream_answers(db, query, &tables.tables, governor, workers, tracer);
+    outcome(answers, stats, governor)
+}
+
+/// Drains streaming [`AnswerIter`]s over pre-built tables: one full-range
+/// iterator sequentially, or one per worker over a *static* partition of
+/// the first assigned variable's range. Per-worker dedup is local (free
+/// tuples cycled by different workers' odometers can coincide), so the
+/// per-worker sets are merged by union; when the governor never trips the
+/// union is bit-identical to the sequential set.
+fn stream_answers<T: Tracer>(
+    db: &GraphDb,
+    query: &PreparedQuery,
+    tables: &SharedTables,
+    governor: &Governor,
+    workers: usize,
+    tracer: &T,
+) -> (BTreeSet<Vec<NodeId>>, ProductStats) {
+    if workers <= 1 {
+        let mut out = BTreeSet::new();
+        let mut it = AnswerIter::with_parts(
+            db,
+            query,
+            tables,
+            Some(governor),
+            None,
+            tracer.fork_worker(),
+        );
+        it.drain_into(&mut out);
+        return (out, *it.stats());
+    }
+    let ranges = chunk_ranges(db.num_nodes(), workers);
+    // raised once a worker has a Boolean query's one answer, as in
+    // `answers_product_over`
+    let found = AtomicBool::new(false);
+    let mut out: BTreeSet<Vec<NodeId>> = BTreeSet::new();
+    let mut stats = ProductStats::default();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|r| {
+                let (r, found) = (r.clone(), &found);
+                // fork before spawn: deterministic registration order
+                let worker_tracer = tracer.fork_worker();
+                s.spawn(move || {
+                    let mut it = AnswerIter::with_parts(
+                        db,
+                        query,
+                        tables,
+                        Some(governor),
+                        Some(r),
+                        worker_tracer,
+                    );
+                    let boolean = query.free.is_empty();
+                    if boolean {
+                        it.set_stop(found);
+                    }
+                    let mut mine: BTreeSet<Vec<NodeId>> = BTreeSet::new();
+                    it.drain_into(&mut mine);
+                    if boolean && !mine.is_empty() {
+                        found.store(true, Ordering::Relaxed);
+                    }
+                    (mine, *it.stats())
+                })
+            })
+            .collect();
+        for h in handles {
+            // lint:allow(unwrap): propagate worker panics instead of losing them
+            let (mine, s) = h.join().expect("streaming worker panicked");
+            if out.is_empty() {
+                out = mine;
+            } else {
+                out.extend(mine);
+            }
+            stats.merge(&s);
+        }
+    });
+    (out, stats)
+}
+
+// ---------------------------------------------------------------------------
+// Prepared evaluation state (tables built once, executed many times)
+// ---------------------------------------------------------------------------
+
+/// Pre-built read-only evaluation state for the product-family entry
+/// points: the shared tables — trimmed automata, reachability closure,
+/// dense row-grouped transition tables, semijoin-pruned enumeration
+/// domains — that every one-shot engine call otherwise rebuilds serially
+/// before its workers spawn. Building them once and executing many times
+/// (with [`answers_product_governed_prepared_traced`] or
+/// [`answers_yannakakis_governed_prepared_traced`]) is what a
+/// prepared-plan cache amortizes, and it is also what makes thread
+/// scaling visible end-to-end: the serial build no longer dilutes the
+/// parallel search region (Amdahl).
+///
+/// The tables are plain owned data (`Send + Sync`), safe to share across
+/// threads and across executions. [`PreparedTables::build`] and
+/// [`PreparedTables::build_for_tree`] build them without a budget, so
+/// they are complete. A cached plan builds them under the governor of the
+/// run that first needs them and keeps them only when that governor had
+/// not tripped by the end of the build: a budget tripping mid-build
+/// truncates closure rows and semijoin domains — sound for the single run
+/// that observes the non-complete [`Termination`], but silently lossy if
+/// ever reused.
+pub struct PreparedTables {
+    tables: SharedTables,
+    layout: Layout,
+}
+
+impl PreparedTables {
+    /// Builds the shared evaluation tables for `query` over `db` under
+    /// `layout` (no join tree: the semijoin sweep prunes per-variable
+    /// domains pairwise, as the direct-product strategy does). Also
+    /// freezes the database's CSR index, so no later execution pays for
+    /// it.
+    pub fn build(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
+        Self::build_with(db, query, layout, None, None, &NoopTracer)
+    }
+
+    /// Builds tables whose domains are made globally consistent by the
+    /// two-pass Yannakakis semijoin program over `tree` (always the flat
+    /// layout, matching the planner's Yannakakis dispatch).
+    pub fn build_for_tree(db: &GraphDb, query: &PreparedQuery, tree: &JoinTree) -> Self {
+        Self::build_with(db, query, Layout::Flat, Some(tree), None, &NoopTracer)
+    }
+
+    /// The general build: `tree` selects the Yannakakis semijoin program,
+    /// and the closure rows and semijoin sweeps check in with `governor`
+    /// and report to `tracer`.
+    pub(crate) fn build_with<T: Tracer>(
+        db: &GraphDb,
+        query: &PreparedQuery,
+        layout: Layout,
+        tree: Option<&JoinTree>,
+        governor: Option<&Governor>,
+        tracer: &T,
+    ) -> Self {
+        PreparedTables {
+            tables: SharedTables::build_with(db, query, layout, governor, tracer, tree),
+            layout,
+        }
+    }
+
+    /// The layout these tables were built for. Prepared executions use
+    /// it regardless of what [`EvalOptions::layout`] says — the dense
+    /// tables and domain bitmaps are layout-specific.
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 }
 
-/// Resource-governed Boolean CQ evaluation. `true` is definitive; `false`
-/// with a non-complete termination means "not proven within budget".
+// ---------------------------------------------------------------------------
+// CQ entry points
+// ---------------------------------------------------------------------------
+
+/// How many workers a CQ backtracking run should use: bounded by the first
+/// atom's relation size (the stride partition is over its tuples).
+fn cq_workers(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> usize {
+    let t = opts.effective_threads();
+    if t <= 1 || q.atoms.is_empty() {
+        return 1;
+    }
+    let max_rel = q
+        .atoms
+        .iter()
+        .map(|a| db.relation(&a.relation).map_or(0, |r| r.tuples.len()))
+        .max()
+        .unwrap_or(0);
+    t.min(max_rel.max(1))
+}
+
+/// Stats for the CQ family under governance: the governor's work counter is
+/// the only cross-worker aggregate the CQ evaluators maintain, so it is
+/// surfaced through `configurations`.
+fn governed_cq_stats(governor: &Governor) -> ProductStats {
+    ProductStats {
+        configurations: governor.work_charged(),
+        budget_checks: governor.checkpoints_run(),
+        budget_aborts: u64::from(governor.stopped()),
+        ..ProductStats::default()
+    }
+}
+
+/// Resource-governed Boolean CQ evaluation by stride-partitioned
+/// backtracking. `true` is definitive; `false` with a non-complete
+/// termination means "not proven within budget".
 pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
     let governor = Governor::new(&opts.budget);
     let workers = cq_workers(db, q, opts);
@@ -986,17 +682,7 @@ pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcom
             }
         });
     }
-    let termination = if found {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: found,
-        stats: governed_cq_stats(&governor),
-        termination,
-        metrics: None,
-    }
+    boolean_outcome(found, governed_cq_stats(&governor), &governor)
 }
 
 /// Resource-governed Boolean tree-decomposition evaluation. The
@@ -1012,30 +698,14 @@ pub fn eval_cq_treedec_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -
         Some(&governor),
         &NoopTracer,
     );
-    let termination = if sat {
-        Termination::Complete
-    } else {
-        governor.termination()
-    };
-    Outcome {
-        answers: sat,
-        stats: governed_cq_stats(&governor),
-        termination,
-        metrics: None,
-    }
+    boolean_outcome(sat, governed_cq_stats(&governor), &governor)
 }
 
-/// Resource-governed CQ answer enumeration. Same subset/complete
-/// guarantees as [`answers_product_governed`], relative to [`answers_cq`].
-pub fn answers_cq_governed(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<u32>>> {
-    answers_cq_governed_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_governed`], reporting per-phase counters to `tracer`.
+/// Resource-governed CQ answer enumeration, reporting join/odometer
+/// counters to `tracer` (worker blocks forked in spawn order): workers
+/// cover disjoint stride classes of the first join atom's tuples. Same
+/// subset/complete guarantees as [`answers_product_governed_traced`],
+/// relative to [`crate::cq_eval::answers_cq`].
 pub fn answers_cq_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
@@ -1044,12 +714,7 @@ pub fn answers_cq_governed_traced<T: Tracer>(
 ) -> Outcome<BTreeSet<Vec<u32>>> {
     let governor = Governor::new(&opts.budget);
     let answers = answers_cq_governed_inner(db, q, opts, &governor, tracer);
-    Outcome {
-        answers,
-        stats: governed_cq_stats(&governor),
-        termination: governor.termination(),
-        metrics: None,
-    }
+    outcome(answers, governed_cq_stats(&governor), &governor)
 }
 
 /// Shared governed CQ enumeration body (also the tail of the governed
@@ -1103,21 +768,15 @@ fn answers_cq_governed_inner<T: Tracer>(
     out
 }
 
-/// Resource-governed tree-decomposition answer enumeration: one governor
-/// spans bag population, the semijoin reduction, and the final acyclic
-/// join, so a deadline covers the whole pipeline. A run cut short during
-/// reduction enumerates over under-filled bags, which can only shrink the
-/// answer set — the subset guarantee is preserved.
-pub fn answers_cq_treedec_governed(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-) -> Outcome<BTreeSet<Vec<u32>>> {
-    answers_cq_treedec_governed_traced(db, q, opts, &NoopTracer)
-}
-
-/// As [`answers_cq_treedec_governed`], reporting per-phase counters to
-/// `tracer`.
+/// Resource-governed tree-decomposition answer enumeration: parallel bag
+/// population, sequential semijoins, then stride-parallel enumeration of
+/// the reduced acyclic join. One governor spans all three, so a deadline
+/// covers the whole pipeline. A run cut short during reduction enumerates
+/// over under-filled bags, which can only shrink the answer set — the
+/// subset guarantee is preserved; a complete run equals
+/// [`crate::cq_eval::answers_cq_treedec`]. Bag-population work is reported
+/// under [`crate::trace::Phase::TreedecBags`] and the final enumeration
+/// under [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
 pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
@@ -1130,12 +789,7 @@ pub fn answers_cq_treedec_governed_traced<T: Tracer>(
         Some((jdb, jq)) => answers_cq_governed_inner(&jdb, &jq, opts, &governor, tracer),
         None => BTreeSet::new(),
     };
-    Outcome {
-        answers,
-        stats: governed_cq_stats(&governor),
-        termination: governor.termination(),
-        metrics: None,
-    }
+    outcome(answers, governed_cq_stats(&governor), &governor)
 }
 
 #[cfg(test)]
@@ -1228,8 +882,16 @@ mod tests {
         let seq_bool = crate::product::eval_product(&db, &p);
         for threads in [1usize, 2, 4, 8] {
             let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
-            assert_eq!(answers_product(&db, &p, &opts), seq, "threads={threads}");
-            assert_eq!(eval_product(&db, &p, &opts), seq_bool, "threads={threads}");
+            assert_eq!(
+                answers_product_governed_traced(&db, &p, &opts, &NoopTracer).answers,
+                seq,
+                "threads={threads}"
+            );
+            assert_eq!(
+                eval_product_governed(&db, &p, &opts).answers,
+                seq_bool,
+                "threads={threads}"
+            );
         }
     }
 
@@ -1240,13 +902,19 @@ mod tests {
         let p = PreparedQuery::build(&q).unwrap();
         let seq = crate::product::answers_product(&db, &p);
         for threads in [1usize, 2, 3, 4, 7] {
-            let par = answers_product(&db, &p, &EvalOptions::with_threads(threads));
+            let par = answers_product_governed_traced(
+                &db,
+                &p,
+                &EvalOptions::with_threads(threads),
+                &NoopTracer,
+            )
+            .answers;
             assert_eq!(par, seq, "threads={threads}");
         }
         let seq_bool = crate::product::eval_product(&db, &p);
         for threads in [2usize, 4] {
             assert_eq!(
-                eval_product(&db, &p, &EvalOptions::with_threads(threads)),
+                eval_product_governed(&db, &p, &EvalOptions::with_threads(threads)).answers,
                 seq_bool
             );
         }
@@ -1258,12 +926,18 @@ mod tests {
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
         let (seq_ans, seq_stats) = {
-            let (a, s) = answers_product_with_stats(&db, &p, &EvalOptions::sequential());
-            (a, s)
+            let o =
+                answers_product_governed_traced(&db, &p, &EvalOptions::sequential(), &NoopTracer);
+            (o.answers, o.stats)
         };
         for threads in [2usize, 4] {
-            let (ans, stats) =
-                answers_product_with_stats(&db, &p, &EvalOptions::with_threads(threads));
+            let o = answers_product_governed_traced(
+                &db,
+                &p,
+                &EvalOptions::with_threads(threads),
+                &NoopTracer,
+            );
+            let (ans, stats) = (o.answers, o.stats);
             assert_eq!(ans, seq_ans);
             // every feasibility question is asked exactly as often in
             // total; only the hit/miss split moves between workers
@@ -1290,15 +964,25 @@ mod tests {
         assert!(!seq.is_empty());
         for threads in [2usize, 3, 4, 16] {
             let opts = EvalOptions::with_threads(threads);
-            assert_eq!(answers_cq(&db, &q, &opts), seq, "threads={threads}");
-            assert_eq!(eval_cq(&db, &q, &opts), cq_eval::eval_cq(&db, &q));
+            assert_eq!(
+                answers_cq_governed_traced(&db, &q, &opts, &NoopTracer).answers,
+                seq,
+                "threads={threads}"
+            );
+            assert_eq!(
+                eval_cq_governed(&db, &q, &opts).answers,
+                cq_eval::eval_cq(&db, &q)
+            );
         }
         let treedec_seq = cq_eval::answers_cq_treedec(&db, &q);
         for threads in [2usize, 4] {
             let opts = EvalOptions::with_threads(threads);
-            assert_eq!(answers_cq_treedec(&db, &q, &opts), treedec_seq);
             assert_eq!(
-                eval_cq_treedec(&db, &q, &opts),
+                answers_cq_treedec_governed_traced(&db, &q, &opts, &NoopTracer).answers,
+                treedec_seq
+            );
+            assert_eq!(
+                eval_cq_treedec_governed(&db, &q, &opts).answers,
                 cq_eval::eval_cq_treedec(&db, &q)
             );
         }
@@ -1311,7 +995,10 @@ mod tests {
         q.free = vec![0];
         let seq = cq_eval::answers_cq(&db, &q);
         assert_eq!(seq.len(), 3);
-        assert_eq!(answers_cq(&db, &q, &EvalOptions::with_threads(4)), seq);
+        assert_eq!(
+            answers_cq_governed_traced(&db, &q, &EvalOptions::with_threads(4), &NoopTracer).answers,
+            seq
+        );
     }
 
     #[test]
@@ -1320,14 +1007,27 @@ mod tests {
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
         for layout in [Layout::Flat, Layout::BitParallel] {
-            let one_shot = answers_product(&db, &p, &EvalOptions::sequential().with_layout(layout));
+            let one_shot = answers_product_governed_traced(
+                &db,
+                &p,
+                &EvalOptions::sequential().with_layout(layout),
+                &NoopTracer,
+            )
+            .answers;
             let tables = PreparedTables::build(&db, &p, layout);
             assert_eq!(tables.layout(), layout);
             for threads in [1usize, 2, 4] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
                 // repeated executions over the same tables stay identical
                 for _ in 0..2 {
-                    let (ans, _) = answers_product_prepared(&db, &p, &tables, &opts);
+                    let ans = answers_product_governed_prepared_traced(
+                        &db,
+                        &p,
+                        &tables,
+                        &opts,
+                        &NoopTracer,
+                    )
+                    .answers;
                     assert_eq!(ans, one_shot, "layout={layout:?} threads={threads}");
                 }
             }
@@ -1340,7 +1040,7 @@ mod tests {
         let q = eq_len_query(&db);
         let p = PreparedQuery::build(&q).unwrap();
         let tables = PreparedTables::build(&db, &p, Layout::Flat);
-        let full = answers_product(&db, &p, &EvalOptions::sequential());
+        let full = crate::product::answers_product(&db, &p);
         // run 1: an already-expired deadline (constructed per call, so it
         // trips immediately)
         let tight = EvalOptions::sequential()

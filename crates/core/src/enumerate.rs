@@ -38,6 +38,7 @@ use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::NodeVar;
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::atomic::AtomicBool;
 
 /// One instruction of the flattened backtracking program.
 #[derive(Debug, Clone, Copy)]
@@ -227,6 +228,12 @@ impl<'a, T: Tracer> AnswerIter<'a, T> {
     /// checks, memo hits, satisfying assignments).
     pub(crate) fn stats(&self) -> &crate::product::ProductStats {
         &self.ev.stats
+    }
+
+    /// Installs a cross-worker cancellation flag: the iterator ends at its
+    /// next step once the flag is raised.
+    pub(crate) fn set_stop(&mut self, stop: &'a AtomicBool) {
+        self.ev.set_stop(stop);
     }
 
     /// Drains this iterator into `out` (the engine's worker loop): the
@@ -474,7 +481,8 @@ impl<'a> Enumerator<'a> {
     /// `max_answers` (or any other tripped budget axis).
     pub fn with_budget(db: &'a GraphDb, query: &'a PreparedQuery, budget: &ResourceBudget) -> Self {
         let governor = Governor::new(budget);
-        let tables = SharedTables::build_governed(db, query, Layout::Flat, Some(&governor));
+        let tables =
+            SharedTables::build_with(db, query, Layout::Flat, Some(&governor), &NoopTracer, None);
         Enumerator {
             db,
             query,
@@ -493,7 +501,7 @@ impl<'a> Enumerator<'a> {
         budget: &ResourceBudget,
     ) -> Self {
         let governor = (!budget.is_unlimited()).then(|| Governor::new(budget));
-        let tables = SharedTables::build_traced_with(
+        let tables = SharedTables::build_with(
             db,
             query,
             Layout::Flat,

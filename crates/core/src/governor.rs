@@ -16,7 +16,7 @@
 //! reported tuple is a real answer; exhaustion can only *lose* answers,
 //! never invent them) and whose [`Termination`] says whether the run was
 //! complete. A run that terminates [`Termination::Complete`] is
-//! bit-identical to the ungoverned evaluators — the budget checks never
+//! bit-identical to the sequential evaluators — the budget checks never
 //! perturb iteration order, only truncate it.
 //!
 //! One `Governor` is shared by reference across all workers of a
@@ -48,7 +48,7 @@ pub(crate) const CHECK_INTERVAL: u64 = 4096;
 pub(crate) const DEADLINE_CHECK_INTERVAL: u64 = 256;
 
 /// Resource limits for one evaluation run. The default is unlimited on
-/// every axis — ungoverned entry points behave exactly as before.
+/// every axis: a run under it never stops early.
 ///
 /// All limits are cooperative and amortized (checked every
 /// `CHECK_INTERVAL` work units), so each is honoured to within one

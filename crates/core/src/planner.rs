@@ -586,6 +586,22 @@ fn first_answer(opts: EvalOptions) -> EvalOptions {
     opts.with_budget(opts.budget.with_max_answers(1))
 }
 
+/// `query` with its free variables dropped: the same truth value, but the
+/// empty tuple is its only answer, so the search ends at the first
+/// satisfying assignment instead of at the next distinct tuple. An
+/// out-of-range free variable is kept: it is the analyzer error that
+/// makes the query evaluate to `false`.
+fn boolean_query(query: &Ecrpq) -> Ecrpq {
+    let mut q = query.clone();
+    if q.free_vars()
+        .iter()
+        .all(|v| (v.0 as usize) < q.num_node_vars())
+    {
+        q.set_free(&[]);
+    }
+    q
+}
+
 /// A Boolean outcome from a one-answer run: any answer proves the query
 /// satisfiable, so a non-empty set is a definitive, complete `true`.
 fn boolean(outcome: Outcome<BTreeSet<Vec<NodeId>>>) -> Outcome<bool> {
@@ -619,6 +635,7 @@ pub fn evaluate(db: &GraphDb, query: &Ecrpq) -> bool {
 /// to constant false) the counters are all zero: no product configuration
 /// is ever expanded.
 pub fn evaluate_with_stats(db: &GraphDb, query: &Ecrpq) -> (bool, ProductStats) {
+    let query = &boolean_query(query);
     let o = boolean(compile_and_run(db, query, true, &NoopTracer, |_| {
         first_answer(EvalOptions::sequential())
     }));
@@ -679,6 +696,7 @@ pub fn answers_without_minimize(db: &GraphDb, query: &Ecrpq) -> BTreeSet<Vec<Nod
 /// non-complete [`Outcome::termination`] means "not proven satisfiable
 /// within budget".
 pub fn evaluate_governed(db: &GraphDb, query: &Ecrpq, opts: &EvalOptions) -> Outcome<bool> {
+    let query = &boolean_query(query);
     boolean(compile_and_run(db, query, true, &NoopTracer, |plan| {
         first_answer(plan.resolve_budget(opts))
     }))
@@ -865,6 +883,12 @@ mod tests {
         let (ans, astats) = answers_with_stats(&db, &q);
         assert!(ans.is_empty());
         assert_eq!(astats, ProductStats::default());
+        // an out-of-range free variable is an analyzer error too: the
+        // Boolean run keeps it, so a satisfiable body still gives `false`
+        let (db, mut q) = small_db_and_query();
+        q.set_free(&[ecrpq_query::NodeVar(7)]);
+        assert!(plan(&db, &q).analysis.has_errors());
+        assert!(!evaluate(&db, &q));
     }
 
     #[test]
@@ -1014,9 +1038,9 @@ mod tests {
         assert!(text.contains("subsumed"), "{text}");
     }
 
-    #[test]
-    fn big_component_forces_direct_product() {
-        // a query whose single component has 4 path variables on a larger db
+    /// A query whose single component has 4 path variables, on a chain
+    /// large enough that the planner picks the direct product search.
+    fn big_component_db_query() -> (GraphDb, Ecrpq) {
         let mut db = GraphDb::new();
         let nodes: Vec<_> = (0..40).map(|i| db.add_node(&format!("n{i}"))).collect();
         for i in 1..40 {
@@ -1032,9 +1056,42 @@ mod tests {
             Arc::new(relations::eq_length(4, db.alphabet().len())),
             &ps,
         );
+        (db, q)
+    }
+
+    #[test]
+    fn big_component_forces_direct_product() {
+        let (db, q) = big_component_db_query();
         let p = plan(&db, &q);
         // 40^8 = 6.5e12 tuples — way over budget
         assert_eq!(p.strategy, Strategy::DirectProduct);
         assert!(evaluate(&db, &q));
+    }
+
+    #[test]
+    fn boolean_search_stops_at_its_first_answer() {
+        let (db, mut big) = big_component_db_query();
+        big.set_free(&[ecrpq_query::NodeVar(0), ecrpq_query::NodeVar(4)]);
+        let (chain_db, chain) = chain_db_acyclic_query();
+        for (db, q) in [(&db, &big), (&chain_db, &chain)] {
+            let strategy = plan(db, q).strategy;
+            let two = EvalOptions::sequential()
+                .with_budget(ResourceBudget::unlimited().with_max_answers(2));
+            assert_eq!(
+                answers_governed(db, q, &two).answers.len(),
+                2,
+                "{strategy:?}"
+            );
+            // the Boolean run has no free variables left, so the first
+            // satisfying assignment ends it — a second distinct tuple is
+            // never searched for
+            let (sat, stats) = evaluate_with_stats(db, q);
+            assert!(sat, "{strategy:?}");
+            assert_eq!(stats.assignments, 1, "{strategy:?}");
+            // parallel workers stop once one of them has the answer
+            let o = evaluate_governed(db, q, &EvalOptions::with_threads(2));
+            assert!(o.answers, "{strategy:?}");
+            assert_eq!(o.termination, Termination::Complete, "{strategy:?}");
+        }
     }
 }

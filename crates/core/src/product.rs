@@ -453,42 +453,23 @@ impl SharedTables {
 
     /// As [`SharedTables::build`] on an explicit [`Layout`].
     pub(crate) fn build_with_layout(db: &GraphDb, query: &PreparedQuery, layout: Layout) -> Self {
-        Self::build_governed(db, query, layout, None)
+        Self::build_with(db, query, layout, None, &NoopTracer, None)
     }
 
-    /// As [`SharedTables::build_with_layout`], cooperatively checking the
-    /// governor during the closure build and the semijoin sweeps. When the
-    /// budget trips mid-build, the remaining closure rows stay empty and
-    /// the remaining sweeps are skipped — both are necessary-condition
-    /// filters, so the truncation can only *drop* answers, which is sound
-    /// under the non-`Complete` termination the governor then reports.
-    pub(crate) fn build_governed(
-        db: &GraphDb,
-        query: &PreparedQuery,
-        layout: Layout,
-        governor: Option<&Governor>,
-    ) -> Self {
-        Self::build_traced(db, query, layout, governor, &NoopTracer)
-    }
-
-    /// As [`SharedTables::build_governed`], reporting the preparation work
-    /// (closure rows, dense tables) under [`Phase::Prepare`] and the
-    /// endpoint-domain sweeps under [`Phase::Semijoin`] to `tracer`.
-    pub(crate) fn build_traced<T: Tracer>(
-        db: &GraphDb,
-        query: &PreparedQuery,
-        layout: Layout,
-        governor: Option<&Governor>,
-        tracer: &T,
-    ) -> Self {
-        Self::build_traced_with(db, query, layout, governor, tracer, None)
-    }
-
-    /// As [`SharedTables::build_traced`], optionally upgrading the
-    /// independent semijoin sweeps to the full Yannakakis semijoin
+    /// The general build: reports the preparation work (closure rows,
+    /// dense tables) under [`Phase::Prepare`] and the endpoint-domain
+    /// sweeps under [`Phase::Semijoin`] to `tracer`, optionally upgrading
+    /// the independent semijoin sweeps to the full Yannakakis semijoin
     /// program over `join_tree` (the `Strategy::Yannakakis` preparation:
     /// globally consistent domains instead of per-atom ones).
-    pub(crate) fn build_traced_with<T: Tracer>(
+    ///
+    /// With a `governor`, the closure build and the semijoin sweeps check
+    /// in cooperatively. When the budget trips mid-build, the remaining
+    /// closure rows stay empty and the remaining sweeps are skipped — both
+    /// are necessary-condition filters, so the truncation can only *drop*
+    /// answers, which is sound under the non-`Complete` termination the
+    /// governor then reports.
+    pub(crate) fn build_with<T: Tracer>(
         db: &GraphDb,
         query: &PreparedQuery,
         layout: Layout,
@@ -784,7 +765,9 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
         if self.query.num_node_vars > 0 && self.db.num_nodes() == 0 {
             return;
         }
-        if self.tables.unsatisfiable() {
+        // a Boolean query that already has its one possible answer (the
+        // empty tuple) has nothing left to find
+        if self.tables.unsatisfiable() || (self.query.free.is_empty() && !out.is_empty()) {
             return;
         }
         let free = self.query.free.clone();
@@ -832,7 +815,9 @@ impl<'a, T: Tracer> Evaluator<'a, T> {
                 false
             });
             span.finish(&tracer);
-            tripped // abandon the search once the budget trips
+            // abandon the search once the budget trips, or once a Boolean
+            // query has its one possible answer
+            tripped || (free.is_empty() && !out.is_empty())
         });
         if odometer_work > 0 {
             if let Some(g) = governor {

@@ -699,6 +699,67 @@ pub fn lint_harness_bypass(path: &str, content: &str) -> Vec<Violation> {
     out
 }
 
+/// The parallel evaluation engine, whose public entry points all run
+/// under a governor.
+pub const ENGINE_FILE: &str = "crates/core/src/engine.rs";
+
+/// Rule 12: one worker pool per evaluator. A non-test `pub fn` in
+/// [`ENGINE_FILE`] whose name starts with `eval_` or `answers_` must be a
+/// governed entry point (its name contains `_governed`), and an
+/// `answers_` one must also take a tracer (its name ends in `_traced`):
+/// an ungoverned or untraced twin would be a second copy of the
+/// evaluator's parallel region, or a wrapper that only fixes an argument.
+/// Callers that want an unlimited, untraced run pass the default
+/// (unlimited) budget and `&NoopTracer`.
+pub fn lint_governed_engine(path: &str, content: &str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    let mut skip_depth: Option<i64> = None; // brace depth at cfg(test) entry
+    let mut depth: i64 = 0;
+    for (i, line) in content.lines().enumerate() {
+        let code = strip_comment(line);
+        if skip_depth.is_none() && code.contains("#[cfg(test)]") {
+            skip_depth = Some(depth);
+        }
+        let opens = code.matches('{').count() as i64;
+        let closes = code.matches('}').count() as i64;
+        depth += opens - closes;
+        if let Some(d) = skip_depth {
+            if depth <= d && closes > 0 {
+                skip_depth = None;
+            }
+            continue;
+        }
+        let Some(rest) = code.trim_start().strip_prefix("pub fn ") else {
+            continue;
+        };
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        let problem = if !(name.starts_with("eval_") || name.starts_with("answers_")) {
+            None
+        } else if !name.contains("_governed") {
+            Some("ungoverned")
+        } else if name.starts_with("answers_") && !name.ends_with("_traced") {
+            Some("untraced")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            out.push(Violation {
+                file: path.to_string(),
+                line: i + 1,
+                message: format!(
+                    "{problem} engine entry point `{name}` — each engine evaluator has one \
+                     governed, traced entry point; call it with the default (unlimited) \
+                     budget and `&NoopTracer` instead"
+                ),
+            });
+        }
+    }
+    out
+}
+
 /// Drops a trailing `// …` comment (naive: does not parse string
 /// literals, which is fine for the policy rules above).
 fn strip_comment(line: &str) -> &str {
@@ -1184,5 +1245,41 @@ mod tests {
         assert!(lint_harness_bypass("f", test_only).is_empty());
         let v = lint_harness_bypass("f", "fn d() { fs::write(p, b) }\n");
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn governed_engine_accepts_governed_entry_points() {
+        let good = "\
+pub fn eval_product_governed(db: &GraphDb, opts: &EvalOptions) -> Outcome<bool> {}
+pub fn answers_cq_governed_traced<T: Tracer>(db: &RelationalDb) -> Outcome<Answers> {}
+pub(crate) fn answers_product_over<T: Tracer>(db: &GraphDb) -> Outcome<Answers> {}
+fn stream_answers(db: &GraphDb) -> Answers {}
+pub fn effective_threads(&self) -> usize {}
+#[cfg(test)]
+mod tests {
+    pub fn answers_cq(db: &RelationalDb) -> Answers {}
+}
+";
+        assert!(lint_governed_engine(ENGINE_FILE, good).is_empty());
+    }
+
+    #[test]
+    fn governed_engine_flags_ungoverned_entry_points() {
+        let bad = "\
+pub fn eval_product(db: &GraphDb, opts: &EvalOptions) -> bool {}
+pub fn answers_product_with_stats_traced<T: Tracer>(db: &GraphDb) -> Answers {}
+// pub fn answers_cq(db: &RelationalDb) -> Answers {}
+pub fn answers_cq_treedec_governed(db: &RelationalDb) -> Outcome<Answers> {}
+";
+        let v = lint_governed_engine(ENGINE_FILE, bad);
+        assert_eq!(v.len(), 3);
+        assert_eq!(v[0].line, 1);
+        assert!(v[0]
+            .message
+            .starts_with("ungoverned engine entry point `eval_product`"));
+        assert_eq!(v[1].line, 2);
+        assert!(v[1].message.contains("`answers_product_with_stats_traced`"));
+        assert_eq!(v[2].line, 4);
+        assert!(v[2].message.starts_with("untraced engine entry point"));
     }
 }

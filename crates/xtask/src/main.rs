@@ -8,10 +8,10 @@ mod lint;
 
 use lint::{
     lint_budget_checkpoints, lint_cold_path, lint_default_hasher, lint_forbid_unsafe,
-    lint_harness_bypass, lint_materialize, lint_raw_clock, lint_scalar_probe, lint_tracked_target,
-    lint_unverified_rewrite, lint_unwrap, Violation, BITPARALLEL_HOT_FILES, BUDGET_HOT_FILES,
-    CLOCK_HOT_FILES, CORE_SRC, ENUMERATOR_FILES, EXPERIMENT_BIN_FILES, HOT_PATH_FILES, OWN_CRATES,
-    REWRITE_FILES,
+    lint_governed_engine, lint_harness_bypass, lint_materialize, lint_raw_clock, lint_scalar_probe,
+    lint_tracked_target, lint_unverified_rewrite, lint_unwrap, Violation, BITPARALLEL_HOT_FILES,
+    BUDGET_HOT_FILES, CLOCK_HOT_FILES, CORE_SRC, ENGINE_FILE, ENUMERATOR_FILES,
+    EXPERIMENT_BIN_FILES, HOT_PATH_FILES, OWN_CRATES, REWRITE_FILES,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -201,6 +201,17 @@ fn run_lint() -> ExitCode {
                 eprintln!("xtask: cannot read {}: {e}", path.display());
                 return ExitCode::from(2);
             }
+        }
+    }
+
+    // Rule 12: one worker pool per evaluator — every public engine
+    // entry point is governed.
+    let path = root.join(ENGINE_FILE);
+    match std::fs::read_to_string(&path) {
+        Ok(content) => violations.extend(lint_governed_engine(ENGINE_FILE, &content)),
+        Err(e) => {
+            eprintln!("xtask: cannot read {}: {e}", path.display());
+            return ExitCode::from(2);
         }
     }
 

@@ -22,6 +22,13 @@ cargo test -q --offline --test differential --test parallel_differential --test 
   --test trace_observability --test minimize_differential --test server_differential \
   --test harness_roundtrip --test harness_diff
 
+echo "== servicebench build + self-test (its pinned core imports) =="
+# servicebench/ is a Cargo workspace of its own with path deps on crates/*,
+# so the workspace build above does not compile it: a core API change that
+# breaks one of its imports would otherwise surface only when the
+# benchmark runs
+cargo test --release --offline --manifest-path servicebench/Cargo.toml
+
 echo "== xtask lint (repo policy) =="
 cargo run -q -p xtask --offline -- lint
 

@@ -54,7 +54,7 @@
 //! Multi-threaded evaluation via the parallel [`eval::engine`]:
 //!
 //! ```
-//! use ecrpq::eval::{engine, EvalOptions, PreparedQuery};
+//! use ecrpq::eval::{engine, EvalOptions, NoopTracer, PreparedQuery};
 //! use ecrpq::graph::parse_graph;
 //! use ecrpq::query::{parse_query, RelationRegistry};
 //!
@@ -67,9 +67,11 @@
 //! )?;
 //! let prepared = PreparedQuery::build(&q)?;
 //!
-//! // threads = 0 means "use all available cores"; the answer set is
-//! // bit-identical to the sequential evaluator's.
-//! let par = engine::answers_product(&db, &prepared, &EvalOptions::default());
+//! // threads = 0 means "use all available cores"; the default budget is
+//! // unlimited, so the run completes and the answer set is bit-identical
+//! // to the sequential evaluator's.
+//! let opts = EvalOptions::default();
+//! let par = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers;
 //! let seq = ecrpq::eval::product::answers_product(&db, &prepared);
 //! assert_eq!(par, seq);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -81,15 +83,15 @@
 //! 3.2), so any engine that accepts untrusted queries needs a way to stop.
 //! A [`eval::ResourceBudget`] carried in [`eval::EvalOptions`] bounds a
 //! run by wall-clock deadline, total work (product configurations),
-//! answer count, or tracked memory; the `*_governed` entry points check
-//! it cooperatively (amortized, every few thousand work units) across the
+//! answer count, or tracked memory; every engine and planner entry point
+//! checks it cooperatively (amortized, every few thousand work units) across the
 //! product search, semijoin pruning, CQ evaluation and all parallel
 //! workers. Running out of budget is not an error: the
 //! [`eval::Outcome`] carries the answers found so far (always a *subset*
 //! of the full answer set — truncation never invents answers) and a
 //! [`eval::Termination`] saying whether the run was complete. When it is
-//! [`eval::Termination::Complete`], the answers are bit-identical to the
-//! ungoverned evaluator's.
+//! [`eval::Termination::Complete`], the answers are bit-identical to an
+//! unlimited run's.
 //!
 //! ```
 //! use ecrpq::eval::{planner, EvalOptions, ResourceBudget, Termination};
@@ -135,7 +137,7 @@
 //!
 //! ```
 //! use ecrpq::eval::{self, engine, render_phase_table, CollectingTracer};
-//! use ecrpq::eval::{EvalOptions, Phase, PreparedQuery};
+//! use ecrpq::eval::{EvalOptions, Outcome, Phase, PreparedQuery};
 //! use ecrpq::graph::parse_graph;
 //! use ecrpq::query::{parse_query, RelationRegistry};
 //!
@@ -150,7 +152,7 @@
 //! // explicit tracer: attach to any instrumented engine entry point
 //! let prepared = PreparedQuery::build(&q)?;
 //! let tracer = CollectingTracer::new();
-//! let (answers, stats) = engine::answers_product_with_stats_traced(
+//! let Outcome { answers, stats, .. } = engine::answers_product_governed_traced(
 //!     &db,
 //!     &prepared,
 //!     &EvalOptions::sequential(),

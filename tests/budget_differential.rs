@@ -14,7 +14,9 @@
 //! takes orders of magnitude longer than the deadline — truncation
 //! genuinely happens, and partial answers genuinely exist.
 
-use ecrpq::eval::{engine, EvalOptions, PreparedQuery, ResourceBudget, Termination};
+use ecrpq::eval::{
+    engine, EvalOptions, NoopTracer, Outcome, PreparedQuery, ResourceBudget, Termination,
+};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{big_component_query, random_db};
 use std::collections::BTreeSet;
@@ -37,14 +39,20 @@ fn workload(r: usize, n: usize) -> (ecrpq::graph::GraphDb, ecrpq::query::Ecrpq) 
 fn deadline_yields_partial_answers_without_overshoot() {
     let (db, q) = workload(3, 30);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(0));
+    let full = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::with_threads(0),
+        &NoopTracer,
+    )
+    .answers;
     assert!(full.len() > 100, "workload must have many answers");
     let deadline = Duration::from_millis(50);
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads)
             .with_budget(ResourceBudget::unlimited().with_deadline(deadline));
         let start = Instant::now();
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         let elapsed = start.elapsed();
         assert_eq!(
             outcome.termination,
@@ -75,7 +83,12 @@ fn deadline_yields_partial_answers_without_overshoot() {
 fn configuration_budget_sweep_recovers_answers() {
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let unbudgeted = engine::answers_product_governed(&db, &prepared, &EvalOptions::sequential());
+    let unbudgeted = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    );
     assert_eq!(unbudgeted.termination, Termination::Complete);
     let full = unbudgeted.answers;
     assert!(full.len() >= 10, "need a meaningful answer set");
@@ -86,7 +99,7 @@ fn configuration_budget_sweep_recovers_answers() {
         let cap = ((total_work as f64 * fraction) as u64).max(1);
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert!(
             outcome.answers.is_subset(&full),
             "fraction={fraction}: subset violated"
@@ -107,7 +120,7 @@ fn configuration_budget_sweep_recovers_answers() {
     // an effectively unbounded cap completes and matches bit-for-bit
     let opts = EvalOptions::sequential()
         .with_budget(ResourceBudget::unlimited().with_max_configurations(u64::MAX / 4));
-    let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+    let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
     assert_eq!(outcome.termination, Termination::Complete);
     assert_eq!(outcome.answers, full);
 }
@@ -119,13 +132,19 @@ fn configuration_budget_sweep_recovers_answers() {
 fn answer_cap_is_exact_sequentially() {
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    )
+    .answers;
     let total = full.len() as u64;
     assert!(total >= 2, "need a few answers to cap");
     for cap in [1, total / 2, total, total + 7] {
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_answers(cap));
-        let outcome = engine::answers_product_governed(&db, &prepared, &opts);
+        let outcome = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert_eq!(
             outcome.answers.len() as u64,
             cap.min(total),
@@ -144,10 +163,9 @@ fn answer_cap_is_exact_sequentially() {
     }
 }
 
-/// Regression (answer-cap overshoot): the *ungoverned* `answers_*` entry
-/// points route a `max_answers` budget through the streaming enumerator,
-/// so the search terminates at the cap instead of materializing the full
-/// answer set and truncating. The pin: with every node variable free a
+/// Regression (answer-cap overshoot): a `max_answers` budget on an
+/// otherwise unlimited run stops the streaming search at the cap instead
+/// of materializing the full answer set and truncating. The pin: with every node variable free a
 /// satisfying assignment is an answer, so the assignment counter must
 /// stop exactly at the cap — on a database of any size.
 #[test]
@@ -159,10 +177,22 @@ fn ungoverned_answer_cap_stops_the_search() {
     for n in [20usize, 40] {
         let (db, q) = workload(3, n);
         let prepared = PreparedQuery::build(&q).expect("valid");
-        let (full, full_stats) =
-            engine::answers_product_with_stats(&db, &prepared, &EvalOptions::sequential());
+        let Outcome {
+            answers: full,
+            stats: full_stats,
+            ..
+        } = engine::answers_product_governed_traced(
+            &db,
+            &prepared,
+            &EvalOptions::sequential(),
+            &NoopTracer,
+        );
         assert!(full.len() as u64 > 3 * cap, "n={n}: need answers to spare");
-        let (capped, capped_stats) = engine::answers_product_with_stats(&db, &prepared, &opts);
+        let Outcome {
+            answers: capped,
+            stats: capped_stats,
+            ..
+        } = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
         assert_eq!(capped.len() as u64, cap, "n={n}: cap not exact");
         assert!(capped.is_subset(&full), "n={n}");
         assert!(
@@ -243,7 +273,13 @@ fn governed_bitparallel_matches_flat() {
     use ecrpq::eval::Layout;
     let (db, q) = workload(3, 14);
     let prepared = PreparedQuery::build(&q).expect("valid");
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    )
+    .answers;
     assert!(full.len() >= 10, "need a meaningful answer set");
     let mut saw_truncated = false;
     for threads in [1usize, 2, 4, 8] {
@@ -251,7 +287,7 @@ fn governed_bitparallel_matches_flat() {
             let opts = EvalOptions::with_threads(threads)
                 .with_layout(Layout::BitParallel)
                 .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             assert!(
                 o.answers.is_subset(&full),
                 "threads={threads} cap={cap}: subset violated"
@@ -288,7 +324,8 @@ fn memory_cap_sees_stamps_of_downgraded_atoms() {
             .with_layout(Layout::BitParallel)
             .with_budget(ResourceBudget::unlimited().with_max_memory_bytes(bytes))
     };
-    let o = engine::answers_product_governed(&db, &prepared, &cap_opts(64 << 10));
+    let o =
+        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(64 << 10), &NoopTracer);
     assert_eq!(
         o.termination,
         Termination::BudgetExhausted {
@@ -297,9 +334,16 @@ fn memory_cap_sees_stamps_of_downgraded_atoms() {
         "downgraded stamp bytes slipped past the memory cap"
     );
     // a cap that accommodates the stamps completes and matches flat
-    let o = engine::answers_product_governed(&db, &prepared, &cap_opts(1 << 30));
+    let o =
+        engine::answers_product_governed_traced(&db, &prepared, &cap_opts(1 << 30), &NoopTracer);
     assert!(o.termination.is_complete());
-    let full = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+    let full = engine::answers_product_governed_traced(
+        &db,
+        &prepared,
+        &EvalOptions::sequential(),
+        &NoopTracer,
+    )
+    .answers;
     assert_eq!(o.answers, full);
 }
 
@@ -311,16 +355,18 @@ fn governed_cq_paths_are_sound() {
     let (db, q) = workload(2, 10);
     let prepared = PreparedQuery::build(&q).expect("valid");
     let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-    let full: BTreeSet<Vec<u32>> = engine::answers_cq(&rdb, &cq, &EvalOptions::sequential());
+    let full: BTreeSet<Vec<u32>> =
+        engine::answers_cq_governed_traced(&rdb, &cq, &EvalOptions::sequential(), &NoopTracer)
+            .answers;
     for cap in [64u64, 4096, u64::MAX / 4] {
         let opts = EvalOptions::sequential()
             .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-        let o = engine::answers_cq_governed(&rdb, &cq, &opts);
+        let o = engine::answers_cq_governed_traced(&rdb, &cq, &opts, &NoopTracer);
         assert!(o.answers.is_subset(&full), "cap={cap}");
         if o.termination == Termination::Complete {
             assert_eq!(o.answers, full, "cap={cap}");
         }
-        let td = engine::answers_cq_treedec_governed(&rdb, &cq, &opts);
+        let td = engine::answers_cq_treedec_governed_traced(&rdb, &cq, &opts, &NoopTracer);
         assert!(td.answers.is_subset(&full), "treedec cap={cap}");
         if td.termination == Termination::Complete {
             assert_eq!(td.answers, full, "treedec cap={cap}");
@@ -333,6 +379,60 @@ fn governed_cq_paths_are_sound() {
         let tb = engine::eval_cq_treedec_governed(&rdb, &cq, &opts);
         if tb.answers {
             assert!(!full.is_empty(), "treedec boolean cap={cap}");
+        }
+    }
+}
+
+/// The Yannakakis entry points under a budget, one-shot and over prepared
+/// tables, on the planted acyclic instance with the planner's own join
+/// tree: an answer cap is exact sequentially (`min(cap, k)` answers,
+/// `Complete` exactly when the cap admits all `k`), a zero deadline
+/// truncates, an unlimited budget completes on the planted set, and every
+/// run at every thread count returns a subset of it.
+#[test]
+fn yannakakis_budgets_are_sound() {
+    use ecrpq::eval::{planner, PreparedTables, Strategy};
+    use ecrpq::workloads::planted_acyclic_instance;
+    let k = 8usize;
+    // past the planner's tuple budget, so it picks Yannakakis
+    let (db, q, planted) = planted_acyclic_instance(8000, k, 5);
+    let plan = planner::plan(&db, &q);
+    assert_eq!(plan.strategy, Strategy::Yannakakis);
+    let tree = plan.join_tree.expect("Yannakakis plans carry a join tree");
+    let prepared = PreparedQuery::build(&q).expect("valid");
+    let tables = PreparedTables::build_for_tree(&db, &prepared, &tree);
+    let run = |opts: &EvalOptions| {
+        [
+            engine::answers_yannakakis_governed_traced(&db, &prepared, &tree, opts, &NoopTracer),
+            engine::answers_yannakakis_governed_prepared_traced(
+                &db,
+                &prepared,
+                &tables,
+                opts,
+                &NoopTracer,
+            ),
+        ]
+    };
+    for threads in [1usize, 2] {
+        let base = EvalOptions::with_threads(threads);
+        for cap in [1u64, k as u64 / 2, k as u64, k as u64 + 3] {
+            let opts = base.with_budget(ResourceBudget::unlimited().with_max_answers(cap));
+            for o in run(&opts) {
+                assert!(o.answers.is_subset(&planted), "threads={threads} cap={cap}");
+                if threads == 1 {
+                    assert_eq!(o.answers.len() as u64, cap.min(k as u64), "cap={cap}");
+                    assert_eq!(o.termination.is_complete(), cap >= k as u64, "cap={cap}");
+                }
+            }
+        }
+        let opts = base.with_budget(ResourceBudget::unlimited().with_deadline(Duration::ZERO));
+        for o in run(&opts) {
+            assert_ne!(o.termination, Termination::Complete, "threads={threads}");
+            assert!(o.answers.is_subset(&planted), "threads={threads}");
+        }
+        for o in run(&base) {
+            assert_eq!(o.termination, Termination::Complete, "threads={threads}");
+            assert_eq!(o.answers, planted, "threads={threads}");
         }
     }
 }

@@ -5,7 +5,9 @@
 //! graphs and queries.
 
 use ecrpq::eval::product::{answers_product_with_stats_layout, Layout};
-use ecrpq::eval::{ecrpq_to_cq, engine, Enumerator, EvalOptions, PreparedQuery, ResourceBudget};
+use ecrpq::eval::{
+    ecrpq_to_cq, engine, Enumerator, EvalOptions, NoopTracer, PreparedQuery, ResourceBudget,
+};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{planted_acyclic_instance, random_db, random_ecrpq, RandomQueryParams};
 use proptest::prelude::*;
@@ -44,8 +46,12 @@ fn empty_database_evaluates_cleanly() {
     for threads in [1usize, 2, 4, 8] {
         for layout in [Layout::Flat, Layout::BitParallel] {
             let opts = EvalOptions::with_threads(threads).with_layout(layout);
-            assert!(engine::answers_product(&db, &prepared, &opts).is_empty());
-            assert!(!engine::eval_product(&db, &prepared, &opts));
+            assert!(
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
+                    .answers
+                    .is_empty()
+            );
+            assert!(!engine::eval_product_governed(&db, &prepared, &opts).answers);
         }
     }
 }
@@ -72,10 +78,11 @@ fn bitparallel_falls_back_on_oversized_config_space() {
     assert_eq!(flat.len(), 1, "satisfiable Boolean query: one empty tuple");
     for threads in [1usize, 2, 4, 8] {
         let opts = EvalOptions::with_threads(threads).with_layout(Layout::BitParallel);
-        let par = engine::answers_product(&db, &prepared, &opts);
+        let par =
+            engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers;
         assert_eq!(par, flat, "{threads} threads");
         assert!(
-            engine::eval_product(&db, &prepared, &opts),
+            engine::eval_product_governed(&db, &prepared, &opts).answers,
             "{threads} threads"
         );
     }
@@ -185,7 +192,8 @@ proptest! {
         for threads in [2usize, 4, 8] {
             for layout in [Layout::Flat, Layout::BitParallel] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let par = engine::answers_product(&db, &prepared, &opts);
+                let par = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
+                    .answers;
                 if sat {
                     prop_assert_eq!(par.len(), 1, "threads={} layout={:?} seed={}", threads, layout, seed);
                     prop_assert!(par.contains(&Vec::new()));
@@ -270,7 +278,8 @@ proptest! {
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let (product, _) = answers_product_with_stats_layout(&db, &prepared, Layout::Flat);
         let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
-        let via_cq = engine::answers_cq(&rdb, &cq, &EvalOptions::sequential());
+        let opts = EvalOptions::sequential();
+        let via_cq = engine::answers_cq_governed_traced(&rdb, &cq, &opts, &NoopTracer).answers;
         let product_u32: std::collections::BTreeSet<Vec<u32>> = product.into_iter().collect();
         prop_assert_eq!(product_u32, via_cq, "product vs cq seed={}", seed);
     }

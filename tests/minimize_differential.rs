@@ -12,7 +12,7 @@
 //! printed in every assertion message.
 
 use ecrpq::analyze::{fix_source, minimize};
-use ecrpq::eval::{engine, planner, EvalOptions, Layout, PreparedQuery};
+use ecrpq::eval::{engine, planner, EvalOptions, Layout, NoopTracer, PreparedQuery};
 use ecrpq::graph::NodeId;
 use ecrpq::query::{parse_query, Ecrpq, NodeVar, RelationRegistry};
 use ecrpq::workloads::{
@@ -52,7 +52,7 @@ fn product_answers(
 ) -> BTreeSet<Vec<NodeId>> {
     let prepared = PreparedQuery::build(q).unwrap_or_else(|e| panic!("prepare: {e}"));
     let opts = EvalOptions::with_threads(threads).with_layout(layout);
-    engine::answers_product(db, &prepared, &opts)
+    engine::answers_product_governed_traced(db, &prepared, &opts, &NoopTracer).answers
 }
 
 #[test]

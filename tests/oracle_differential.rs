@@ -17,7 +17,7 @@ use ecrpq::eval::cq_eval::{answers_cq, answers_cq_treedec};
 use ecrpq::eval::engine;
 use ecrpq::eval::product::answers_product;
 use ecrpq::eval::{
-    answers_product_with_stats_layout, ecrpq_to_cq, eval_product, EvalOptions, Layout,
+    answers_product_with_stats_layout, ecrpq_to_cq, eval_product, EvalOptions, Layout, NoopTracer,
     PreparedQuery,
 };
 use ecrpq::graph::NodeId;
@@ -78,7 +78,9 @@ fn oracle_agrees_with_every_answer_evaluator() {
         for threads in [1usize, 2, 4, 8] {
             for layout in [Layout::Flat, Layout::BitParallel] {
                 let opts = EvalOptions::with_threads(threads).with_layout(layout);
-                let got = engine::answers_product(&db, &prepared, &opts);
+                let got =
+                    engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer)
+                        .answers;
                 check(
                     &truth,
                     &got,
@@ -140,7 +142,14 @@ fn oracle_agrees_with_yannakakis_streaming() {
         let product = answers_product(&db, &prepared);
         for threads in [1usize, 2, 4, 8] {
             let opts = EvalOptions::with_threads(threads);
-            let (got, _) = engine::answers_yannakakis_with_stats(&db, &prepared, &tree, &opts);
+            let got = engine::answers_yannakakis_governed_traced(
+                &db,
+                &prepared,
+                &tree,
+                &opts,
+                &NoopTracer,
+            )
+            .answers;
             check(
                 &truth,
                 &got,
@@ -246,7 +255,13 @@ fn oracle_agrees_on_shared_path_variables() {
             let exact = converged(&db, &q, &truth);
             let got = answers_product(&db, &prepared);
             check(&truth, &got, exact, &format!("query {i}, seed {seed}"));
-            let got_par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(3));
+            let got_par = engine::answers_product_governed_traced(
+                &db,
+                &prepared,
+                &EvalOptions::with_threads(3),
+                &NoopTracer,
+            )
+            .answers;
             check(
                 &truth,
                 &got_par,

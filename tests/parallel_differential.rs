@@ -8,7 +8,10 @@ use ecrpq::eval::cq_eval::{
     answers_cq as answers_cq_seq, answers_cq_treedec as answers_cq_treedec_seq,
 };
 use ecrpq::eval::product::answers_product as answers_product_seq;
-use ecrpq::eval::{ecrpq_to_cq, engine, EvalOptions, PreparedQuery, ResourceBudget, Termination};
+use ecrpq::eval::{
+    ecrpq_to_cq, engine, EvalOptions, NoopTracer, Outcome, PreparedQuery, ResourceBudget,
+    Termination,
+};
 use ecrpq::query::NodeVar;
 use ecrpq::workloads::{random_db, random_ecrpq, RandomQueryParams};
 use proptest::prelude::*;
@@ -34,9 +37,11 @@ proptest! {
         let prepared = PreparedQuery::build(&q).map_err(TestCaseError::fail)?;
         let seq = answers_product_seq(&db, &prepared);
         for threads in [1usize, 2, 4, 8] {
-            let par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(threads));
+            let opts = EvalOptions::with_threads(threads);
+            let par =
+                engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer).answers;
             prop_assert_eq!(&par, &seq, "threads={} seed={}", threads, seed);
-            let par_bool = engine::eval_product(&db, &prepared, &EvalOptions::with_threads(threads));
+            let par_bool = engine::eval_product_governed(&db, &prepared, &opts).answers;
             prop_assert_eq!(par_bool, !seq.is_empty(), "boolean threads={} seed={}", threads, seed);
         }
     }
@@ -53,22 +58,22 @@ proptest! {
         for threads in [2usize, 4] {
             let opts = EvalOptions::with_threads(threads);
             prop_assert_eq!(
-                &engine::answers_cq(&rdb, &cq, &opts),
+                &engine::answers_cq_governed_traced(&rdb, &cq, &opts, &NoopTracer).answers,
                 &seq,
                 "answers_cq threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                &engine::answers_cq_treedec(&rdb, &cq, &opts),
+                &engine::answers_cq_treedec_governed_traced(&rdb, &cq, &opts, &NoopTracer).answers,
                 &seq_td,
                 "answers_cq_treedec threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                engine::eval_cq(&rdb, &cq, &opts),
+                engine::eval_cq_governed(&rdb, &cq, &opts).answers,
                 !seq.is_empty(),
                 "eval_cq threads={} seed={}", threads, seed
             );
             prop_assert_eq!(
-                engine::eval_cq_treedec(&rdb, &cq, &opts),
+                engine::eval_cq_treedec_governed(&rdb, &cq, &opts).answers,
                 !seq_td.is_empty(),
                 "eval_cq_treedec threads={} seed={}", threads, seed
             );
@@ -94,7 +99,7 @@ proptest! {
             for cap in [1u64, 256, 16_384, u64::MAX / 4] {
                 let opts = EvalOptions::with_threads(threads)
                     .with_budget(ResourceBudget::unlimited().with_max_configurations(cap));
-                let o = engine::answers_product_governed(&db, &prepared, &opts);
+                let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
                 prop_assert!(
                     o.answers.is_subset(&full),
                     "threads={} cap={} seed={}: subset violated", threads, cap, seed
@@ -111,7 +116,7 @@ proptest! {
             // and bit-identical by construction
             let opts = EvalOptions::with_threads(threads)
                 .with_budget(ResourceBudget::unlimited());
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             prop_assert_eq!(o.termination, Termination::Complete, "threads={}", threads);
             prop_assert_eq!(&o.answers, &full, "threads={} seed={}", threads, seed);
         }
@@ -121,7 +126,7 @@ proptest! {
         for cap in [1u64, total.max(1), total + 3] {
             let opts = EvalOptions::sequential()
                 .with_budget(ResourceBudget::unlimited().with_max_answers(cap));
-            let o = engine::answers_product_governed(&db, &prepared, &opts);
+            let o = engine::answers_product_governed_traced(&db, &prepared, &opts, &NoopTracer);
             prop_assert_eq!(
                 o.answers.len() as u64,
                 cap.min(total),
@@ -151,17 +156,30 @@ fn merged_stats_equal_sequential_totals() {
         q.set_free(&all);
         let db = random_db(5, 1.8, 2, seed * 13 + 5);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let (seq_ans, seq) =
-            engine::answers_product_with_stats(&db, &prepared, &EvalOptions::sequential());
+        let Outcome {
+            answers: seq_ans,
+            stats: seq,
+            ..
+        } = engine::answers_product_governed_traced(
+            &db,
+            &prepared,
+            &EvalOptions::sequential(),
+            &NoopTracer,
+        );
         if seq.checks + seq.cache_hits == 0 {
             continue; // nothing feasible to measure on this instance
         }
         covered += 1;
         for threads in [2usize, 4] {
-            let (ans, merged) = engine::answers_product_with_stats(
+            let Outcome {
+                answers: ans,
+                stats: merged,
+                ..
+            } = engine::answers_product_governed_traced(
                 &db,
                 &prepared,
                 &EvalOptions::with_threads(threads),
+                &NoopTracer,
             );
             assert_eq!(ans, seq_ans, "seed {seed} threads {threads}");
             assert_eq!(
@@ -191,7 +209,13 @@ fn extreme_thread_counts() {
     let prepared = PreparedQuery::build(&q).unwrap();
     let seq = answers_product_seq(&db, &prepared);
     for threads in [3usize, 5, 16, 64, 0] {
-        let par = engine::answers_product(&db, &prepared, &EvalOptions::with_threads(threads));
+        let par = engine::answers_product_governed_traced(
+            &db,
+            &prepared,
+            &EvalOptions::with_threads(threads),
+            &NoopTracer,
+        )
+        .answers;
         assert_eq!(par, seq, "threads={threads}");
     }
 }

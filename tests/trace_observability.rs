@@ -145,7 +145,7 @@ fn single_thread_trace_is_deterministic() {
 #[test]
 fn tracer_never_changes_answers() {
     use ecrpq::eval::engine;
-    use ecrpq::eval::PreparedQuery;
+    use ecrpq::eval::{NoopTracer, PreparedQuery};
     use ecrpq::query::NodeVar;
     use ecrpq::workloads::{env_seed, random_ecrpq, RandomQueryParams};
     let base = env_seed(0);
@@ -162,15 +162,22 @@ fn tracer_never_changes_answers() {
         q.set_free(&[NodeVar(0), NodeVar(1)]);
         let db = random_db(10, 1.8, 2, seed * 37 + 3);
         let prepared = PreparedQuery::build(&q).unwrap();
-        let baseline = engine::answers_product(&db, &prepared, &EvalOptions::sequential());
+        let baseline = engine::answers_product_governed_traced(
+            &db,
+            &prepared,
+            &EvalOptions::sequential(),
+            &NoopTracer,
+        )
+        .answers;
         for threads in [1usize, 2, 4] {
             let tracer = CollectingTracer::new();
-            let (traced, _) = engine::answers_product_with_stats_traced(
+            let traced = engine::answers_product_governed_traced(
                 &db,
                 &prepared,
                 &EvalOptions::with_threads(threads),
                 &tracer,
-            );
+            )
+            .answers;
             assert_eq!(
                 traced, baseline,
                 "seed {seed}, {threads} thread(s): tracer changed the answers"
