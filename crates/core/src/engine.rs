@@ -19,10 +19,13 @@
 //!   — the same tables with globally consistent domains, drained by
 //!   streaming enumerators over a static first-variable partition;
 //! * the **CQ** evaluators ([`answers_cq_governed_traced`],
-//!   [`answers_cq_treedec_governed_traced`]) — the backtracking join is
-//!   partitioned by stride over the first atom's candidate tuples, and
-//!   tree-decomposition bag population fans out bag-per-worker before the
-//!   (sequential) semijoin passes.
+//!   [`answers_cq_treedec_governed_traced`]) — both enumerate a join plan
+//!   built once (static atom order, per-step hash indexes), partitioned by
+//!   stride over its first step's rows. The tree-decomposition evaluator
+//!   first builds the semijoin-reduced instance — bag population fans out
+//!   bag-per-worker before the (sequential) semijoin passes — and a
+//!   prepared plan caches that instance, so its later runs only
+//!   enumerate.
 //!
 //! Workers merge their [`ProductStats`] with saturating adds at join, and
 //! answer sets are `BTreeSet`s merged by union — so complete parallel runs
@@ -33,12 +36,12 @@
 //! with the partitioning). Boolean search additionally propagates a stop
 //! flag so sibling workers abandon their chunks after the first success.
 
-use crate::cq_eval;
+use crate::cq_eval::{self, JoinPlan, ReducedCq};
 use crate::enumerate::AnswerIter;
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::prepare::PreparedQuery;
 use crate::product::{Evaluator, Layout, ProductStats, SharedTables};
-use crate::trace::{NoopTracer, Tracer};
+use crate::trace::{NoopTracer, Phase, PhaseSpan, Tracer};
 use ecrpq_analyze::JoinTree;
 use ecrpq_graph::{GraphDb, NodeId};
 use ecrpq_query::{Cq, RelationalDb};
@@ -615,22 +618,6 @@ impl PreparedTables {
 // CQ entry points
 // ---------------------------------------------------------------------------
 
-/// How many workers a CQ backtracking run should use: bounded by the first
-/// atom's relation size (the stride partition is over its tuples).
-fn cq_workers(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> usize {
-    let t = opts.effective_threads();
-    if t <= 1 || q.atoms.is_empty() {
-        return 1;
-    }
-    let max_rel = q
-        .atoms
-        .iter()
-        .map(|a| db.relation(&a.relation).map_or(0, |r| r.tuples.len()))
-        .max()
-        .unwrap_or(0);
-    t.min(max_rel.max(1))
-}
-
 /// Stats for the CQ family under governance: the governor's work counter is
 /// the only cross-worker aggregate the CQ evaluators maintain, so it is
 /// surfaced through `configurations`.
@@ -648,27 +635,23 @@ fn governed_cq_stats(governor: &Governor) -> ProductStats {
 /// termination means "not proven within budget".
 pub fn eval_cq_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -> Outcome<bool> {
     let governor = Governor::new(&opts.budget);
-    let workers = cq_workers(db, q, opts);
+    let join = JoinPlan::from_db(db, q);
+    let workers = join.workers(opts.effective_threads());
     let mut found = false;
     if workers <= 1 {
-        found = cq_eval::eval_cq_part(db, q, None, Some(&governor), &NoopTracer);
+        found = join.satisfiable_part(None, Some(&governor), &NoopTracer);
     } else {
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|p| {
-                    let (stop, governor) = (&stop, &governor);
+                    let (stop, governor, join) = (&stop, &governor, &join);
                     s.spawn(move || {
                         if stop.load(Ordering::Relaxed) || governor.stopped() {
                             return false;
                         }
-                        let hit = cq_eval::eval_cq_part(
-                            db,
-                            q,
-                            Some((workers, p)),
-                            Some(governor),
-                            &NoopTracer,
-                        );
+                        let hit =
+                            join.satisfiable_part(Some((workers, p)), Some(governor), &NoopTracer);
                         if hit {
                             stop.store(true, Ordering::Relaxed);
                         }
@@ -705,7 +688,8 @@ pub fn eval_cq_treedec_governed(db: &RelationalDb, q: &Cq, opts: &EvalOptions) -
 /// counters to `tracer` (worker blocks forked in spawn order): workers
 /// cover disjoint stride classes of the first join atom's tuples. Same
 /// subset/complete guarantees as [`answers_product_governed_traced`],
-/// relative to [`crate::cq_eval::answers_cq`].
+/// relative to [`crate::cq_eval::answers_cq`]. Building the join's indexes
+/// is timed under [`crate::trace::Phase::CqJoin`].
 pub fn answers_cq_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
@@ -713,27 +697,63 @@ pub fn answers_cq_governed_traced<T: Tracer>(
     tracer: &T,
 ) -> Outcome<BTreeSet<Vec<u32>>> {
     let governor = Governor::new(&opts.budget);
-    let answers = answers_cq_governed_inner(db, q, opts, &governor, tracer);
+    let span = PhaseSpan::start(tracer, Phase::CqJoin);
+    let join = JoinPlan::from_db(db, q);
+    span.finish(tracer);
+    let answers = answers_join(&join, opts, &governor, tracer);
     outcome(answers, governed_cq_stats(&governor), &governor)
 }
 
-/// Shared governed CQ enumeration body (also the tail of the governed
-/// tree-decomposition pipeline, which reuses one governor across both
-/// phases so the deadline spans the whole run).
-fn answers_cq_governed_inner<T: Tracer>(
+/// Resource-governed tree-decomposition answer enumeration: builds the
+/// semijoin-reduced join instance (parallel bag population, sequential
+/// semijoins) and enumerates it with the stride-parallel CQ pool — the
+/// same build and run a prepared plan splits across its runs. One
+/// governor spans both, so a deadline covers the whole pipeline. A run
+/// cut short during the reduction enumerates nothing, so the subset
+/// guarantee holds; a complete run equals
+/// [`crate::cq_eval::answers_cq_treedec`]. The reduction is reported under
+/// [`crate::trace::Phase::TreedecBags`] and the enumeration under
+/// [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
+pub fn answers_cq_treedec_governed_traced<T: Tracer>(
     db: &RelationalDb,
     q: &Cq,
+    opts: &EvalOptions,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<u32>>> {
+    let governor = Governor::new(&opts.budget);
+    let reduced = ReducedCq::build(db, q, opts.effective_threads(), Some(&governor), tracer);
+    answers_cq_reduced_over(&reduced, opts, &governor, tracer)
+}
+
+/// Stride-parallel enumeration of a (possibly cached) [`ReducedCq`] under
+/// `governor`: the whole per-run cost of a prepared tree-decomposition
+/// plan whose reduction is already built. Honours every budget axis.
+pub(crate) fn answers_cq_reduced_over<T: Tracer>(
+    reduced: &ReducedCq,
+    opts: &EvalOptions,
+    governor: &Governor,
+    tracer: &T,
+) -> Outcome<BTreeSet<Vec<u32>>> {
+    let answers = reduced.join().map_or_else(BTreeSet::new, |join| {
+        answers_join(join, opts, governor, tracer)
+    });
+    outcome(answers, governed_cq_stats(governor), governor)
+}
+
+/// The one governed CQ enumeration pool: workers cover disjoint stride
+/// classes of the first step's rows and merge their answer sets by union.
+fn answers_join<T: Tracer>(
+    join: &JoinPlan,
     opts: &EvalOptions,
     governor: &Governor,
     tracer: &T,
 ) -> BTreeSet<Vec<u32>> {
-    let workers = cq_workers(db, q, opts);
+    let workers = join.workers(opts.effective_threads());
+    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
     if workers <= 1 {
-        let mut out = BTreeSet::new();
-        cq_eval::answers_cq_part(db, q, None, Some(governor), &tracer.fork_worker(), &mut out);
+        join.answers_part(None, Some(governor), &tracer.fork_worker(), &mut out);
         return out;
     }
-    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|p| {
@@ -742,9 +762,7 @@ fn answers_cq_governed_inner<T: Tracer>(
                 s.spawn(move || {
                     let mut mine = BTreeSet::new();
                     if !governor.stopped() {
-                        cq_eval::answers_cq_part(
-                            db,
-                            q,
+                        join.answers_part(
                             Some((workers, p)),
                             Some(governor),
                             &worker_tracer,
@@ -766,30 +784,6 @@ fn answers_cq_governed_inner<T: Tracer>(
         }
     });
     out
-}
-
-/// Resource-governed tree-decomposition answer enumeration: parallel bag
-/// population, sequential semijoins, then stride-parallel enumeration of
-/// the reduced acyclic join. One governor spans all three, so a deadline
-/// covers the whole pipeline. A run cut short during reduction enumerates
-/// over under-filled bags, which can only shrink the answer set — the
-/// subset guarantee is preserved; a complete run equals
-/// [`crate::cq_eval::answers_cq_treedec`]. Bag-population work is reported
-/// under [`crate::trace::Phase::TreedecBags`] and the final enumeration
-/// under [`crate::trace::Phase::CqJoin`] / [`crate::trace::Phase::Odometer`].
-pub fn answers_cq_treedec_governed_traced<T: Tracer>(
-    db: &RelationalDb,
-    q: &Cq,
-    opts: &EvalOptions,
-    tracer: &T,
-) -> Outcome<BTreeSet<Vec<u32>>> {
-    let governor = Governor::new(&opts.budget);
-    let threads = opts.effective_threads();
-    let answers = match cq_eval::treedec_join_instance(db, q, threads, Some(&governor), tracer) {
-        Some((jdb, jq)) => answers_cq_governed_inner(&jdb, &jq, opts, &governor, tracer),
-        None => BTreeSet::new(),
-    };
-    outcome(answers, governed_cq_stats(&governor), &governor)
 }
 
 #[cfg(test)]

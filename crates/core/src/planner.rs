@@ -16,6 +16,7 @@
 //! compiled plan, every evaluation entry point here is a compile + run
 //! wrapper, and the query service caches compiled plans.
 
+use crate::cq_eval::ReducedCq;
 use crate::engine::{self, EvalOptions, PreparedTables};
 use crate::governor::{Governor, Outcome, ResourceBudget, Termination};
 use crate::optimize::{optimize, Simplified};
@@ -27,7 +28,7 @@ use crate::trace::{
 };
 use ecrpq_analyze::{analyze, minimize, render_diagnostic, Analysis, Code, JoinTree, Minimized};
 use ecrpq_graph::{GraphDb, NodeId};
-use ecrpq_query::{Cq, Ecrpq, QueryError, QueryMeasures, RelationalDb};
+use ecrpq_query::{Ecrpq, QueryError, QueryMeasures};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -402,8 +403,11 @@ pub struct PreparedPlan {
     /// Lazily-built evaluation tables, one slot per [`Layout`] (a
     /// Yannakakis plan's tree-driven tables take the flat slot).
     tables: [OnceLock<Arc<PreparedTables>>; 4],
-    /// Lazily-materialized Lemma 4.3 reduction for [`Strategy::CqTreedec`].
-    cq: OnceLock<Arc<(Cq, RelationalDb)>>,
+    /// Lazily-built table of [`Strategy::CqTreedec`]: the Lemma 4.3
+    /// materialization, semijoin-reduced over a tree decomposition of its
+    /// CQ and indexed for enumeration. The raw materialized relations are
+    /// dropped once it is built, so a cached plan holds only this.
+    cq: OnceLock<Arc<ReducedCq>>,
 }
 
 impl PreparedPlan {
@@ -491,12 +495,13 @@ impl PreparedPlan {
     }
 
     /// Runs the plan's strategy under `opts.budget` as given, with a fresh
-    /// governor. Evaluation tables not cached yet are built under this
-    /// run's governor and `tracer`, and cached only when the governor had
-    /// not tripped by the end of the build; the run's
-    /// [`ProductStats::configurations`] then include the build work the
-    /// governor metered. The Lemma 4.3 materialization of
-    /// [`Strategy::CqTreedec`] is not governed, so it is always cached.
+    /// governor. Tables not cached yet — the product or Yannakakis
+    /// evaluation tables, or the semijoin-reduced CQ of
+    /// [`Strategy::CqTreedec`] — are built under this run's governor and
+    /// `tracer`, and cached only when the governor had not tripped by the
+    /// end of the build; the run's [`ProductStats::configurations`] then
+    /// include the build work the governor metered. A run that finds its
+    /// table cached only searches or enumerates, still fully governed.
     pub fn run<T: Tracer>(
         &self,
         db: &GraphDb,
@@ -506,13 +511,17 @@ impl PreparedPlan {
         let Some(prepared) = &self.prepared else {
             return no_answers();
         };
+        let governor = Governor::new(&opts.budget);
         let tree = match (self.strategy, &self.join_tree) {
             (Strategy::CqTreedec, _) => {
-                let cq = self.cq.get_or_init(|| {
+                let reduced = cached(&self.cq, &governor, || {
+                    let span = PhaseSpan::start(tracer, Phase::Prepare);
                     let (cq, rdb, _) = ecrpq_to_cq(db, prepared);
-                    Arc::new((cq, rdb))
+                    span.finish(tracer);
+                    let threads = opts.effective_threads();
+                    ReducedCq::build(&rdb, &cq, threads, Some(&governor), tracer)
                 });
-                return engine::answers_cq_treedec_governed_traced(&cq.1, &cq.0, opts, tracer);
+                return engine::answers_cq_reduced_over(&reduced, opts, &governor, tracer);
             }
             (Strategy::Yannakakis, Some(tree)) => Some(tree),
             (Strategy::DirectProduct | Strategy::Yannakakis, _) => None,
@@ -523,26 +532,11 @@ impl PreparedPlan {
         } else {
             opts.layout
         };
-        let slot = &self.tables[layout_slot(layout)];
-        let governor = Governor::new(&opts.budget);
-        let mut build_work = 0;
-        let tables = slot.get().cloned().unwrap_or_else(|| {
-            let built = Arc::new(PreparedTables::build_with(
-                db,
-                prepared,
-                layout,
-                tree,
-                Some(&governor),
-                tracer,
-            ));
-            build_work = governor.work_charged();
-            if !governor.stopped() {
-                // a concurrent run may have cached its own complete build
-                // first; either serves
-                let _ = slot.set(Arc::clone(&built));
-            }
-            built
+        let tables = cached(&self.tables[layout_slot(layout)], &governor, || {
+            PreparedTables::build_with(db, prepared, layout, tree, Some(&governor), tracer)
         });
+        // the work metered so far is the build's (none on a cache hit)
+        let build_work = governor.work_charged();
         let mut outcome = match tree {
             Some(_) => {
                 engine::answers_yannakakis_over(db, prepared, &tables, opts, &governor, tracer)
@@ -552,6 +546,22 @@ impl PreparedPlan {
         outcome.stats.configurations = outcome.stats.configurations.saturating_add(build_work);
         outcome
     }
+}
+
+/// The table rule: the table cached in `slot`, or one built now under the
+/// run's `governor` and cached only when that governor had not tripped by
+/// the end of the build. A tripped build is truncated: sound for the one
+/// run that reports the trip, lossy if ever reused. A concurrent run may
+/// have cached its own complete build first; either serves.
+fn cached<V>(slot: &OnceLock<Arc<V>>, governor: &Governor, build: impl FnOnce() -> V) -> Arc<V> {
+    if let Some(table) = slot.get() {
+        return Arc::clone(table);
+    }
+    let built = Arc::new(build());
+    if !governor.stopped() {
+        let _ = slot.set(Arc::clone(&built));
+    }
+    built
 }
 
 /// The empty, complete outcome of a short-circuited query.

@@ -35,7 +35,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Query preparation against the database: automaton trimming,
-    /// closure rows, dense transition tables.
+    /// closure rows, dense transition tables, and on the CQ route the
+    /// Lemma 4.3 materialization (timed only).
     Prepare,
     /// The semijoin endpoint-domain pruning sweeps.
     Semijoin,

@@ -29,6 +29,13 @@ echo "== servicebench build + self-test (its pinned core imports) =="
 # benchmark runs
 cargo test --release --offline --manifest-path servicebench/Cargo.toml
 
+echo "== servicebench zipf_churn correctness smoke =="
+# the self-test covers cold_compile and hot_eval; zipf_churn is the one
+# workload where two clients share cached plans (including cached CQ
+# reductions) beside misses and evictions, and a wrong answer exits 1
+cargo run --release --offline --quiet --manifest-path servicebench/Cargo.toml -- \
+  --workload zipf_churn --seed 1 --seconds 2 --trace 0 > /dev/null
+
 echo "== xtask lint (repo policy) =="
 cargo run -q -p xtask --offline -- lint
 

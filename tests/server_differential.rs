@@ -5,13 +5,16 @@
 //! state (stop flags, deadlines) must never leak between runs or between
 //! sessions sharing the plan cache.
 
+use ecrpq::eval::cq_eval::answers_cq;
 use ecrpq::eval::planner;
 use ecrpq::eval::{
-    EvalOptions, Layout, Phase, QueryService, ResourceBudget, ServerError, SessionBudget, Strategy,
+    ecrpq_to_cq, EvalOptions, Layout, Phase, PreparedQuery, QueryService, ResourceBudget,
+    ServerError, SessionBudget, Strategy,
 };
 use ecrpq::graph::GraphDb;
-use ecrpq::query::{parse_query, unparse, RelationRegistry};
+use ecrpq::query::{parse_query, unparse, NodeVar, RelationRegistry};
 use ecrpq::workloads::{random_db, random_ecrpq, RandomQueryParams};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::time::Duration;
@@ -199,6 +202,74 @@ fn tripped_governor_state_does_not_leak_into_cached_plan() {
     assert_eq!(built(&r), (0, 0), "cached tables are not rebuilt");
 }
 
+/// The table rule on the tree-decomposition route: the run that first
+/// needs the semijoin-reduced CQ builds it under its own governor and
+/// tracer, and the plan keeps it only if that governor had not tripped by
+/// the end of the build. A run that finds it cached only enumerates, and
+/// that enumeration is still governed: an answer cap stops it, and a
+/// Boolean query stops at its first answer, at every thread count.
+#[test]
+fn cq_reduction_follows_the_table_rule() {
+    let db = random_db(60, 1.5, 2, 0xD1FF);
+    db.freeze();
+    let text = CORPUS[0];
+    let expected = reference(&db, text);
+    assert!(expected.len() > 1, "the text needs several answers");
+    let service = QueryService::new(db.clone());
+    let (plan, _) = service.prepare(text).expect("prepares");
+    assert!(matches!(plan.strategy, Strategy::CqTreedec));
+    let bags = |r: &ecrpq::eval::Response| r.metrics.phase(Phase::TreedecBags).items;
+
+    let expired = EvalOptions::sequential()
+        .with_budget(ResourceBudget::unlimited().with_deadline(Duration::ZERO));
+    let r = service.execute(text, &expired).expect("admitted");
+    assert!(
+        !r.termination.is_complete(),
+        "a zero deadline trips inside the reduction"
+    );
+    assert!(r.answers.is_subset(&expected));
+
+    // the truncated reduction was not cached: the next run rebuilds it
+    let clean = EvalOptions::sequential().with_budget(generous());
+    let r = service.execute(text, &clean).expect("admitted");
+    assert!(r.termination.is_complete(), "{:?}", r.termination);
+    assert_eq!(r.answers, expected);
+    assert!(bags(&r) > 0, "the rebuild populates bags");
+    // ...and, complete this time, caches it for every later run
+    let r = service.execute(text, &clean).expect("admitted");
+    assert!(r.termination.is_complete(), "{:?}", r.termination);
+    assert_eq!(r.answers, expected);
+    assert_eq!(bags(&r), 0, "a cached reduction is not rebuilt");
+
+    for threads in [1usize, 2, 4] {
+        let capped = EvalOptions::with_threads(threads).with_budget(generous().with_max_answers(1));
+        let r = service.execute(text, &capped).expect("admitted");
+        assert_eq!(bags(&r), 0, "t={threads}");
+        assert!(
+            !r.termination.is_complete(),
+            "t={threads}: one answer of {} cannot complete",
+            expected.len()
+        );
+        assert!(r.answers.len() == 1 && r.answers.is_subset(&expected));
+        let expired = EvalOptions::with_threads(threads)
+            .with_budget(ResourceBudget::unlimited().with_deadline(Duration::ZERO));
+        let r = service.execute(text, &expired).expect("admitted");
+        assert_eq!(bags(&r), 0, "t={threads}");
+        assert!(!r.termination.is_complete(), "t={threads}: zero deadline");
+        assert!(r.answers.is_subset(&expected));
+    }
+
+    let boolean = "q() :- x -[p]-> y, p in a*b";
+    for (round, threads) in [1usize, 1, 2, 4].into_iter().enumerate() {
+        let opts = EvalOptions::with_threads(threads).with_budget(generous());
+        let r = service.execute(boolean, &opts).expect("admitted");
+        assert!(matches!(r.plan.strategy, Strategy::CqTreedec));
+        assert!(r.termination.is_complete(), "t={threads}");
+        assert_eq!(r.answers, BTreeSet::from([Vec::new()]), "t={threads}");
+        assert_eq!(bags(&r) > 0, round == 0, "only the first run builds");
+    }
+}
+
 /// Concurrent sessions over one shared service: a work-capped session is
 /// eventually refused at admission with its pool at exactly zero, while
 /// unmetered sessions running concurrently stay complete and bit-identical
@@ -339,5 +410,64 @@ fn plan_agrees_with_the_service_plan() {
             strategies.insert(format!("{:?}", plan.strategy));
         }
         assert_eq!(strategies, expected.into_iter().map(String::from).collect());
+    }
+}
+
+/// The first random query text, from `seed` on, that renders to text and
+/// plans to [`Strategy::CqTreedec`] on `db` (most do below the tuple
+/// budget; the eq-length-heavy rest take the direct product).
+fn cq_treedec_text(db: &GraphDb, service: &QueryService, seed: u64) -> Option<String> {
+    (seed..seed + 64).find_map(|s| {
+        let mut q = random_ecrpq(&RandomQueryParams::default(), s);
+        q.set_free(&[NodeVar(0), NodeVar(1)]);
+        let text = unparse(&q, 64)?;
+        let (plan, _) = service.prepare(&text).ok()?;
+        let mut alphabet = db.alphabet().clone();
+        let parses = parse_query(&text, &mut alphabet, &RelationRegistry::new()).is_ok();
+        (parses && matches!(plan.strategy, Strategy::CqTreedec)).then_some(text)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Cached tree-decomposition plans served repeatedly at 1/2/4 threads,
+    /// interleaved with tight budgets that trip the building run as well
+    /// as later enumerations over the cached reduction: every complete run
+    /// equals the backtracking join over the unreduced Lemma 4.3 CQ, and
+    /// every tripped run returns a subset of it.
+    #[test]
+    fn cached_cq_plans_match_the_unreduced_join(seed in 0..100_000u64, nodes in 6usize..=60) {
+        let db = random_db(nodes, 1.5, 2, seed ^ 0x5EED);
+        db.freeze();
+        let service = QueryService::new(db.clone());
+        let text = cq_treedec_text(&db, &service, seed);
+        prop_assert!(text.is_some(), "no CqTreedec text from seed {seed} on");
+        let text = text.unwrap_or_default();
+        let mut alphabet = db.alphabet().clone();
+        let parsed = parse_query(&text, &mut alphabet, &RelationRegistry::new())
+            .map_err(|e| TestCaseError::fail(format!("{text}: {e:?}")))?;
+        let prepared = PreparedQuery::build(&parsed).map_err(TestCaseError::fail)?;
+        let (cq, rdb, _) = ecrpq_to_cq(&db, &prepared);
+        let full = answers_cq(&rdb, &cq);
+        let budgets = [
+            ResourceBudget::unlimited().with_max_configurations(8),
+            generous(),
+            ResourceBudget::unlimited().with_max_answers(1),
+            ResourceBudget::unlimited().with_max_configurations(64),
+            generous(),
+        ];
+        for threads in [1usize, 2, 4] {
+            for budget in budgets {
+                let opts = EvalOptions::with_threads(threads).with_budget(budget);
+                let r = service
+                    .execute(&text, &opts)
+                    .map_err(|e| TestCaseError::fail(format!("{text}: {e:?}")))?;
+                prop_assert!(r.answers.is_subset(&full), "{} t={} {:?}", text, threads, budget);
+                if r.termination.is_complete() {
+                    prop_assert_eq!(&r.answers, &full, "{} t={} {:?}", text, threads, budget);
+                }
+            }
+        }
     }
 }
